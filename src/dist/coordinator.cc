@@ -662,9 +662,7 @@ Result<DistributedResult> Coordinator::Run() {
   DD_RETURN_IF_ERROR(RunInference(&result));
   DD_RETURN_IF_ERROR(Finish());
 
-  for (uint32_t w = 0; w < graph_->num_weights(); ++w) {
-    graph_->set_weight_value(w, avg_weights_[w]);
-  }
+  graph_->set_weight_values(avg_weights_);
   result.weights = avg_weights_;
   result.epochs_run = options_.epochs;
   result.cut_edges = partition_.cut_edges;

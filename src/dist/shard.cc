@@ -1,6 +1,5 @@
 #include "dist/shard.h"
 
-#include <cmath>
 #include <cstdlib>
 #include <memory>
 #include <vector>
@@ -9,7 +8,7 @@
 #include "dist/protocol.h"
 #include "dist/wire.h"
 #include "factor/io.h"
-#include "inference/gibbs.h"
+#include "inference/learner.h"
 #include "util/failpoint.h"
 #include "util/metrics.h"
 #include "util/string_util.h"
@@ -28,8 +27,7 @@ struct ShardState {
   FactorGraph graph;
   uint32_t graph_crc = 0;
   std::vector<uint32_t> free_set;  ///< owned local ids, the inference sweep set
-  std::unique_ptr<GibbsSampler> pos;    ///< learning, evidence clamped
-  std::unique_ptr<GibbsSampler> neg;    ///< learning, free
+  std::unique_ptr<CdChains> learn;      ///< learning chain pair
   std::unique_ptr<GibbsSampler> chain;  ///< inference over owned vars
 
   uint32_t phase = kPhaseLearn;
@@ -59,11 +57,8 @@ std::string CarriedResult(const ShardState& state) {
   if (state.phase == kPhaseLearn) {
     EpochResultMsg result;
     result.epoch = state.next - 1;
-    result.weights.resize(state.graph.num_weights());
-    for (uint32_t w = 0; w < state.graph.num_weights(); ++w) {
-      result.weights[w] = state.graph.weight_value(w);
-    }
-    result.boundary_bits = BoundarySlice(state.pos->assignment(), boundary);
+    result.weights = state.graph.weight_values();
+    result.boundary_bits = BoundarySlice(state.learn->positive.assignment(), boundary);
     result.boundary_estimates.resize(boundary.size());
     for (size_t i = 0; i < boundary.size(); ++i) {
       result.boundary_estimates[i] = result.boundary_bits[i] ? 1.0 : 0.0;
@@ -107,13 +102,12 @@ Status WriteShardCheckpoint(const ShardState& state) {
   snap.meta["lr"] = FormatExactDouble(state.lr);
   snap.meta["done_sweeps"] =
       StrFormat("%llu", static_cast<unsigned long long>(state.done_sweeps));
-  snap.weights.resize(state.graph.num_weights());
-  for (uint32_t w = 0; w < state.graph.num_weights(); ++w) {
-    snap.weights[w] = state.graph.weight_value(w);
-  }
+  snap.weights = state.graph.weight_values();
   if (state.phase == kPhaseLearn) {
-    snap.chains = {state.pos->assignment(), state.neg->assignment()};
-    snap.rng_states = {state.pos->rng_state(), state.neg->rng_state()};
+    snap.chains = {state.learn->positive.assignment(),
+                   state.learn->negative.assignment()};
+    snap.rng_states = {state.learn->positive.rng_state(),
+                       state.learn->negative.rng_state()};
   } else {
     snap.chains = {state.chain->assignment()};
     snap.rng_states = {state.chain->rng_state()};
@@ -190,18 +184,16 @@ Status RestoreShardCheckpoint(ShardState* state) {
   DD_ASSIGN_OR_RETURN(state->lr, ParseExactDouble(lr->second));
   DD_ASSIGN_OR_RETURN(state->done_sweeps, MetaU64(snap, "done_sweeps"));
 
-  for (uint32_t w = 0; w < state->graph.num_weights(); ++w) {
-    state->graph.set_weight_value(w, snap.weights[w]);
-  }
+  state->graph.set_weight_values(snap.weights);
   if (state->phase == kPhaseLearn) {
     if (snap.chains.size() != 2 || snap.rng_states.size() != 2) {
       return Status::InvalidArgument(
           "learn-phase shard checkpoint must carry two chains");
     }
-    DD_RETURN_IF_ERROR(
-        state->pos->RestoreState(snap.chains[0], {}, 0, snap.rng_states[0]));
-    DD_RETURN_IF_ERROR(
-        state->neg->RestoreState(snap.chains[1], {}, 0, snap.rng_states[1]));
+    DD_RETURN_IF_ERROR(state->learn->positive.RestoreState(snap.chains[0], {}, 0,
+                                                           snap.rng_states[0]));
+    DD_RETURN_IF_ERROR(state->learn->negative.RestoreState(snap.chains[1], {}, 0,
+                                                           snap.rng_states[1]));
   } else {
     if (snap.chains.size() != 1 || snap.rng_states.size() != 1) {
       return Status::InvalidArgument(
@@ -216,79 +208,57 @@ Status RestoreShardCheckpoint(ShardState* state) {
 }
 
 /// One learning exchange: install the averaged weights and ghost pins,
-/// run the epoch's sweeps on both chains, and take the same
-/// contrastive-divergence step Learner::Learn takes (identical
-/// arithmetic and iteration order — the one-shard differential test
-/// holds the two bit-for-bit equal).
+/// run the epoch's sweeps on both chains, and take Learner::Learn's
+/// CdStep (the one-shard differential test holds the two bit-for-bit
+/// equal) with the shard's ghost-factor filter and ×N gradient scale.
 Status RunLearnEpoch(ShardState* state, const EpochStartMsg& start) {
   FactorGraph& graph = state->graph;
-  const size_t nw = graph.num_weights();
-  const size_t nf = graph.num_factors();
-  if (start.weights.size() != nw) {
+  const uint64_t num_owned = state->assign.num_owned;
+  if (start.weights.size() != graph.num_weights()) {
     return Status::InvalidArgument(
         StrFormat("epoch start carries %zu weights, subgraph has %zu",
-                  start.weights.size(), nw));
+                  start.weights.size(), graph.num_weights()));
   }
-  const size_t num_ghosts = graph.num_variables() - state->assign.num_owned;
+  const size_t num_ghosts = graph.num_variables() - num_owned;
   if (start.pins.size() != num_ghosts) {
     return Status::InvalidArgument(
         StrFormat("epoch start carries %zu ghost pins, shard has %zu",
                   start.pins.size(), num_ghosts));
   }
-  for (uint32_t w = 0; w < nw; ++w) {
-    graph.set_weight_value(w, start.weights[w]);
-  }
+  graph.set_weight_values(start.weights);
   // Ghost replicas are evidence in the subgraph, so the positive chain
   // never resamples them — poking the exchanged values pins them for
   // the whole epoch. The negative chain deliberately leaves ghosts
   // free: it estimates the unconditioned model term locally.
-  std::vector<uint8_t>* pos_assignment = state->pos->mutable_assignment();
+  std::vector<uint8_t>* pos_assignment = state->learn->positive.mutable_assignment();
   for (size_t g = 0; g < num_ghosts; ++g) {
-    (*pos_assignment)[state->assign.num_owned + g] = start.pins[g] ? 1 : 0;
+    (*pos_assignment)[num_owned + g] = start.pins[g] ? 1 : 0;
   }
+  state->learn->Sweep(static_cast<int>(state->assign.sweeps_per_epoch));
 
-  for (uint32_t s = 0; s < state->assign.sweeps_per_epoch; ++s) {
-    state->pos->Sweep();
-    state->neg->Sweep();
+  // Replicated cut factors (first literal is a ghost) belong to another
+  // shard's gradient domain; counting them here would count them once
+  // per replica across the cluster. The coordinator averages the shards'
+  // updated replicas (model averaging), which would shrink the effective
+  // gradient to 1/N of the cluster-wide sum — each factor contributes to
+  // exactly one shard. Scaling the local gradient by N makes the
+  // averaged update apply the full summed gradient (and the L2 term,
+  // identical on every replica, exactly once). N = 1 multiplies by 1.0,
+  // which is bit-exact, so the single-shard run still matches
+  // Learner::Learn to the last bit.
+  CdStepOptions step;
+  step.learning_rate = state->lr;
+  step.l2 = state->assign.l2;
+  step.epoch = static_cast<int>(start.epoch);
+  step.num_owned = static_cast<uint32_t>(num_owned);
+  step.gradient_scale = static_cast<double>(state->assign.num_shards);
+  std::vector<double> weights = start.weights;
+  Result<double> norm = CdStep(graph, *state->learn, step, &weights);
+  if (!norm.ok()) {
+    return Status::InvalidArgument(StrFormat("shard %u %s", state->assign.shard,
+                                             norm.status().message().c_str()));
   }
-  std::vector<double> gradient(nw, 0.0);
-  const uint8_t* pos = state->pos->assignment().data();
-  const uint8_t* neg = state->neg->assignment().data();
-  for (uint32_t f = 0; f < nf; ++f) {
-    // Replicated cut factors (first literal is a ghost) belong to
-    // another shard's gradient domain; counting them here would count
-    // them once per replica across the cluster.
-    size_t arity = 0;
-    const Literal* lits = graph.factor_literals(f, &arity);
-    if (arity > 0 && lits[0].var >= state->assign.num_owned) continue;
-    const uint32_t w = graph.factor_weight(f);
-    if (graph.weight(w).is_fixed) continue;
-    const double h_pos = graph.EvalFactor(f, pos);
-    const double h_neg = graph.EvalFactor(f, neg);
-    if (h_pos != h_neg) gradient[w] += h_pos - h_neg;
-  }
-  // The coordinator averages the shards' updated replicas (model
-  // averaging), which would shrink the effective gradient to 1/N of the
-  // cluster-wide sum — each factor contributes to exactly one shard.
-  // Scaling the local gradient by N makes the averaged update apply the
-  // full summed gradient (and the L2 term, identical on every replica,
-  // exactly once). N = 1 multiplies by 1.0, which is bit-exact, so the
-  // single-shard run still matches Learner::Learn to the last bit.
-  const double gradient_scale = static_cast<double>(state->assign.num_shards);
-  for (uint32_t w = 0; w < nw; ++w) {
-    if (graph.weight(w).is_fixed) continue;
-    const double value = graph.weight_value(w);
-    const double g = gradient_scale * gradient[w] - state->assign.l2 * value;
-    const double updated = value + state->lr * g;
-    if (!std::isfinite(g) || !std::isfinite(updated)) {
-      return Status::InvalidArgument(StrFormat(
-          "shard %u learning diverged at epoch %u: weight %u ('%s') became "
-          "non-finite (value=%g, gradient=%g, lr=%g)",
-          state->assign.shard, start.epoch, w,
-          graph.weight(w).description.c_str(), updated, g, state->lr));
-    }
-    graph.set_weight_value(w, updated);
-  }
+  graph.set_weight_values(weights);
   state->lr *= state->assign.decay;
   DD_COUNTER_ADD("dd.dist.shard_epochs", 1);
   return Status::OK();
@@ -311,9 +281,7 @@ Status RunInferRound(ShardState* state, const RoundStartMsg& start) {
         StrFormat("round start carries %zu ghost pins, shard has %zu",
                   start.pins.size(), num_ghosts));
   }
-  for (uint32_t w = 0; w < graph.num_weights(); ++w) {
-    graph.set_weight_value(w, start.weights[w]);
-  }
+  graph.set_weight_values(start.weights);
   std::vector<uint8_t>* assignment = state->chain->mutable_assignment();
   for (size_t g = 0; g < num_ghosts; ++g) {
     (*assignment)[state->assign.num_owned + g] = start.pins[g] ? 1 : 0;
@@ -366,18 +334,31 @@ Status RunShardWorkerImpl(const ShardWorkerOptions& options) {
   }
   state.graph = std::move(graph_snap.graph);
   DD_RETURN_IF_ERROR(state.graph.Finalize());
+  // num_owned and owned_boundary index the decoded graph; reject a
+  // frame that disagrees with it instead of reading past the chains.
+  const auto& boundary = state.assign.owned_boundary;
+  if (state.assign.num_owned > state.graph.num_variables()) {
+    return Status::InvalidArgument(
+        StrFormat("shard %u owns %llu variables, its subgraph has %zu",
+                  state.assign.shard,
+                  static_cast<unsigned long long>(state.assign.num_owned),
+                  state.graph.num_variables()));
+  }
+  for (size_t i = 0; i < boundary.size(); ++i) {
+    if (boundary[i] >= state.assign.num_owned || (i > 0 && boundary[i] <= boundary[i - 1])) {
+      return Status::InvalidArgument(StrFormat(
+          "shard %u owned boundary must be strictly ascending owned ids; "
+          "entry %zu is %u",
+          state.assign.shard, i, boundary[i]));
+    }
+  }
   state.graph_crc = GraphFingerprint(state.graph);
   state.lr = state.assign.learning_rate;
 
   const uint64_t seed_mix = ShardSeedMix(state.assign.shard);
-  GibbsOptions pos_opts;
-  pos_opts.seed = state.assign.learn_seed + seed_mix;
-  pos_opts.clamp_evidence = true;
-  state.pos = std::make_unique<GibbsSampler>(&state.graph, pos_opts);
-  GibbsOptions neg_opts;
-  neg_opts.seed = (state.assign.learn_seed + seed_mix) ^ 0x5bd1e995;
-  neg_opts.clamp_evidence = false;
-  state.neg = std::make_unique<GibbsSampler>(&state.graph, neg_opts);
+  const uint64_t learn_seed = state.assign.learn_seed + seed_mix;
+  state.learn =
+      std::make_unique<CdChains>(&state.graph, learn_seed, learn_seed ^ 0x5bd1e995);
   state.free_set.resize(state.assign.num_owned);
   for (size_t v = 0; v < state.free_set.size(); ++v) {
     state.free_set[v] = static_cast<uint32_t>(v);
@@ -388,15 +369,13 @@ Status RunShardWorkerImpl(const ShardWorkerOptions& options) {
   chain_opts.free_set = &state.free_set;
   state.chain = std::make_unique<GibbsSampler>(&state.graph, chain_opts);
 
+  // The learning chains start fresh unless a learn-phase checkpoint
+  // restores them (past learning they are unused but still initialized).
   if (state.durable() && FileExists(state.assign.checkpoint_path)) {
     DD_RETURN_IF_ERROR(RestoreShardCheckpoint(&state));
-    if (state.phase == kPhaseInfer) {
-      DD_RETURN_IF_ERROR(state.pos->Init());  // unused past learning
-      DD_RETURN_IF_ERROR(state.neg->Init());
-    }
+    if (state.phase == kPhaseInfer) DD_RETURN_IF_ERROR(state.learn->Init());
   } else {
-    DD_RETURN_IF_ERROR(state.pos->Init());
-    DD_RETURN_IF_ERROR(state.neg->Init());
+    DD_RETURN_IF_ERROR(state.learn->Init());
   }
 
   ReadyMsg ready;

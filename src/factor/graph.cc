@@ -1,5 +1,7 @@
 #include "factor/graph.h"
 
+#include <cstring>
+
 #include "util/string_util.h"
 
 namespace dd {
@@ -37,6 +39,14 @@ void FactorGraph::set_weight_value(uint32_t w, double value) {
   // recompile the streams so the bias stays exact.
   if (finalized_ && w < weight_in_bias_.size() && weight_in_bias_[w]) {
     CompileKernels();
+  }
+}
+
+void FactorGraph::set_weight_values(const std::vector<double>& values) {
+  for (uint32_t w = 0; w < values.size(); ++w) {
+    if (std::memcmp(&values[w], &weight_values_[w], sizeof(double)) != 0) {
+      set_weight_value(w, values[w]);
+    }
   }
 }
 

@@ -83,8 +83,11 @@ class FactorGraph {
   /// Weight mirror (and any compiled bias folding the weight) stays
   /// consistent.
   double weight_value(uint32_t w) const { return weight_values_[w]; }
-  const double* weight_values() const { return weight_values_.data(); }
+  const std::vector<double>& weight_values() const { return weight_values_; }
   void set_weight_value(uint32_t w, double value);
+  /// Install a whole weight vector (one value per weight id); only the
+  /// weights whose bits change are written.
+  void set_weight_values(const std::vector<double>& values);
 
   FactorFunc factor_func(uint32_t f) const { return factor_func_[f]; }
   uint32_t factor_weight(uint32_t f) const { return factor_weight_[f]; }

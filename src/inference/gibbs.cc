@@ -18,6 +18,38 @@ double Sigmoid(double x) {
   return e / (1.0 + e);
 }
 
+Result<std::vector<uint32_t>> FreeVariables(const FactorGraph& graph,
+                                            bool clamp_evidence,
+                                            const std::vector<uint32_t>* free_set) {
+  const size_t nv = graph.num_variables();
+  if (free_set != nullptr) {
+    for (size_t i = 0; i < free_set->size(); ++i) {
+      const uint32_t v = (*free_set)[i];
+      if (v >= nv || (i > 0 && v <= (*free_set)[i - 1])) {
+        return Status::InvalidArgument(StrFormat(
+            "free set must be strictly ascending ids below %zu; entry %zu is %u",
+            nv, i, v));
+      }
+    }
+    return *free_set;
+  }
+  std::vector<uint32_t> free_vars;
+  for (uint32_t v = 0; v < nv; ++v) {
+    if (!(clamp_evidence && graph.is_evidence(v))) free_vars.push_back(v);
+  }
+  return free_vars;
+}
+
+void InitChain(const FactorGraph& graph, const std::vector<uint32_t>& free_vars,
+               Rng* rng, std::vector<uint8_t>* assignment) {
+  const size_t nv = graph.num_variables();
+  assignment->resize(nv);
+  for (uint32_t v = 0; v < nv; ++v) {
+    (*assignment)[v] = graph.is_evidence(v) && graph.evidence_value(v) ? 1 : 0;
+  }
+  for (uint32_t v : free_vars) (*assignment)[v] = rng->NextBernoulli(0.5) ? 1 : 0;
+}
+
 GibbsSampler::GibbsSampler(const FactorGraph* graph, const GibbsOptions& options)
     : graph_(graph), options_(options), rng_(options.seed) {}
 
@@ -25,35 +57,10 @@ Status GibbsSampler::Init() {
   if (!graph_->finalized()) {
     return Status::InvalidArgument("GibbsSampler requires a finalized graph");
   }
-  const size_t nv = graph_->num_variables();
-  assignment_.resize(nv);
-  free_vars_.clear();
-  if (options_.free_set != nullptr) {
-    // Explicit free set: draw initial values for exactly its members, in
-    // ascending variable order (the same RNG consumption pattern the
-    // clamp-based path uses for its free variables), pin everything else.
-    size_t next = 0;
-    for (uint32_t v = 0; v < nv; ++v) {
-      if (next < options_.free_set->size() && (*options_.free_set)[next] == v) {
-        assignment_[v] = rng_.NextBernoulli(0.5) ? 1 : 0;
-        free_vars_.push_back(v);
-        ++next;
-      } else {
-        assignment_[v] =
-            graph_->is_evidence(v) && graph_->evidence_value(v) ? 1 : 0;
-      }
-    }
-  } else {
-    for (uint32_t v = 0; v < nv; ++v) {
-      if (options_.clamp_evidence && graph_->is_evidence(v)) {
-        assignment_[v] = graph_->evidence_value(v) ? 1 : 0;
-      } else {
-        assignment_[v] = rng_.NextBernoulli(0.5) ? 1 : 0;
-        free_vars_.push_back(v);
-      }
-    }
-  }
-  true_counts_.assign(nv, 0);
+  DD_ASSIGN_OR_RETURN(free_vars_, FreeVariables(*graph_, options_.clamp_evidence,
+                                                options_.free_set));
+  InitChain(*graph_, free_vars_, &rng_, &assignment_);
+  true_counts_.assign(graph_->num_variables(), 0);
   num_accumulated_ = 0;
   num_steps_ = 0;
   initialized_ = true;
@@ -78,21 +85,15 @@ Status GibbsSampler::RestoreState(const std::vector<uint8_t>& assignment,
         StrFormat("checkpointed tallies have %zu variables, graph has %zu",
                   true_counts.size(), nv));
   }
+  DD_ASSIGN_OR_RETURN(free_vars_, FreeVariables(*graph_, options_.clamp_evidence,
+                                                options_.free_set));
   assignment_ = assignment;
-  free_vars_.clear();
-  if (options_.free_set != nullptr) {
-    // Pinned values (ghost replicas) travel in the checkpointed
-    // assignment verbatim; the caller re-pins them from the next
-    // exchange before sweeping.
-    free_vars_ = *options_.free_set;
-  } else {
+  // Re-clamp evidence in case the snapshot was taken under different
+  // clamp settings. Pinned values under a free set (ghost replicas)
+  // travel verbatim; the caller re-pins them from the next exchange.
+  if (options_.free_set == nullptr && options_.clamp_evidence) {
     for (uint32_t v = 0; v < nv; ++v) {
-      if (options_.clamp_evidence && graph_->is_evidence(v)) {
-        // Defend against a snapshot taken under different clamp settings.
-        assignment_[v] = graph_->evidence_value(v) ? 1 : 0;
-      } else {
-        free_vars_.push_back(v);
-      }
+      if (graph_->is_evidence(v)) assignment_[v] = graph_->evidence_value(v) ? 1 : 0;
     }
   }
   true_counts_ = true_counts.empty() ? std::vector<uint64_t>(nv, 0) : true_counts;
@@ -105,17 +106,7 @@ Status GibbsSampler::RestoreState(const std::vector<uint8_t>& assignment,
 
 void GibbsSampler::Sweep() {
   uint8_t* a = assignment_.data();
-  if (options_.use_compiled) {
-    for (uint32_t v : free_vars_) {
-      double delta = graph_->PotentialDeltaCompiled(v, a);
-      a[v] = rng_.NextBernoulli(Sigmoid(delta)) ? 1 : 0;
-    }
-  } else {
-    for (uint32_t v : free_vars_) {
-      double delta = graph_->PotentialDelta(v, a);
-      a[v] = rng_.NextBernoulli(Sigmoid(delta)) ? 1 : 0;
-    }
-  }
+  for (uint32_t v : free_vars_) GibbsStep(*graph_, v, a, &rng_);
   num_steps_ += free_vars_.size();
 }
 

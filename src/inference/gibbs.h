@@ -14,17 +14,35 @@ namespace dd {
 /// variables under log-linear factors.
 double Sigmoid(double x);
 
+/// The one Gibbs step every sampler takes: resample v from its
+/// conditional given the rest of `a` (compiled delta kernel, sigmoid,
+/// one Bernoulli draw from `rng`). FactorGraph::PotentialDelta is the
+/// interpreted oracle the tests hold this kernel to, not a runtime path.
+inline void GibbsStep(const FactorGraph& graph, uint32_t v, uint8_t* a, Rng* rng) {
+  a[v] = rng->NextBernoulli(Sigmoid(graph.PotentialDeltaCompiled(v, a))) ? 1 : 0;
+}
+
+/// The variables a chain resamples, ascending: exactly `free_set` when
+/// given (it must be strictly ascending and in range, else
+/// InvalidArgument), otherwise every variable except clamped evidence.
+Result<std::vector<uint32_t>> FreeVariables(const FactorGraph& graph,
+                                            bool clamp_evidence,
+                                            const std::vector<uint32_t>* free_set);
+
+/// The one chain init: every variable outside `free_vars` is pinned at
+/// its evidence value (0 when it is not evidence), then every free
+/// variable is drawn uniformly in ascending id order, one draw each.
+void InitChain(const FactorGraph& graph, const std::vector<uint32_t>& free_vars,
+               Rng* rng, std::vector<uint8_t>* assignment);
+
 struct GibbsOptions {
   int burn_in = 100;          ///< sweeps discarded before counting
   int num_samples = 1000;     ///< counted sweeps
   uint64_t seed = 42;
   bool clamp_evidence = true; ///< keep evidence variables at their values
-  /// Use the compiled per-variable kernel streams (default). The
-  /// interpreted CSR path is kept as a reference oracle; both produce
-  /// bit-for-bit identical chains.
-  bool use_compiled = true;
-  /// Optional explicit free set (sorted ascending variable ids, owned by
-  /// the caller, must outlive the sampler). When set it overrides
+  /// Optional explicit free set (strictly ascending variable ids below
+  /// num_variables, else Init/RestoreState fail; owned by the caller,
+  /// must outlive the sampler). When set it overrides
   /// clamp_evidence entirely: exactly these variables are resampled;
   /// every other variable is pinned — at its evidence value if it is an
   /// evidence variable, otherwise at 0 until the caller pokes the
@@ -44,8 +62,7 @@ class GibbsSampler {
   /// The graph must outlive the sampler and be finalized (Init checks).
   GibbsSampler(const FactorGraph* graph, const GibbsOptions& options);
 
-  /// Reset the chain: evidence clamped (if configured), free variables
-  /// initialized uniformly at random.
+  /// Reset the chain with InitChain over the configured free variables.
   Status Init();
 
   /// Resample every free variable once.

@@ -23,16 +23,11 @@ std::string CheckpointPath(const LearnOptions& options) {
 }
 
 Status WriteLearnerCheckpoint(const LearnOptions& options, const FactorGraph& graph,
-                              const GibbsSampler& positive,
-                              const GibbsSampler& negative, int next_epoch,
-                              double lr) {
+                              const CdChains& chains, int next_epoch, double lr) {
   GraphSnapshot snap;
-  snap.weights.resize(graph.num_weights());
-  for (uint32_t w = 0; w < graph.num_weights(); ++w) {
-    snap.weights[w] = graph.weight_value(w);
-  }
-  snap.chains = {positive.assignment(), negative.assignment()};
-  snap.rng_states = {positive.rng_state(), negative.rng_state()};
+  snap.weights = graph.weight_values();
+  snap.chains = {chains.positive.assignment(), chains.negative.assignment()};
+  snap.rng_states = {chains.positive.rng_state(), chains.negative.rng_state()};
   snap.meta["kind"] = kSnapshotKind;
   snap.meta["epoch"] = StrFormat("%d", next_epoch);
   snap.meta["lr"] = FormatExactDouble(lr);
@@ -43,8 +38,7 @@ Status WriteLearnerCheckpoint(const LearnOptions& options, const FactorGraph& gr
 /// Restore a checkpoint into the graph/samplers. Outputs the epoch to
 /// continue from and the learning rate at that point.
 Status RestoreLearnerCheckpoint(const LearnOptions& options, FactorGraph* graph,
-                                GibbsSampler* positive, GibbsSampler* negative,
-                                int* start_epoch, double* lr) {
+                                CdChains* chains, int* start_epoch, double* lr) {
   DD_ASSIGN_OR_RETURN(GraphSnapshot snap,
                       ReadGraphSnapshot(CheckpointPath(options)));
   auto kind = snap.meta.find("kind");
@@ -71,13 +65,11 @@ Status RestoreLearnerCheckpoint(const LearnOptions& options, FactorGraph* graph,
   if (epoch == snap.meta.end() || lr_meta == snap.meta.end()) {
     return Status::InvalidArgument("learner checkpoint missing epoch/lr metadata");
   }
-  for (uint32_t w = 0; w < graph->num_weights(); ++w) {
-    graph->set_weight_value(w, snap.weights[w]);
-  }
+  graph->set_weight_values(snap.weights);
   DD_RETURN_IF_ERROR(
-      positive->RestoreState(snap.chains[0], {}, 0, snap.rng_states[0]));
+      chains->positive.RestoreState(snap.chains[0], {}, 0, snap.rng_states[0]));
   DD_RETURN_IF_ERROR(
-      negative->RestoreState(snap.chains[1], {}, 0, snap.rng_states[1]));
+      chains->negative.RestoreState(snap.chains[1], {}, 0, snap.rng_states[1]));
   *start_epoch = std::atoi(epoch->second.c_str());
   DD_ASSIGN_OR_RETURN(*lr, ParseExactDouble(lr_meta->second));
   return Status::OK();
@@ -85,89 +77,98 @@ Status RestoreLearnerCheckpoint(const LearnOptions& options, FactorGraph* graph,
 
 }  // namespace
 
+CdChains::CdChains(const FactorGraph* graph, uint64_t positive_seed,
+                   uint64_t negative_seed)
+    : positive(graph, {.seed = positive_seed, .clamp_evidence = true}),
+      negative(graph, {.seed = negative_seed, .clamp_evidence = false}) {}
+
+Status CdChains::Init() {
+  DD_RETURN_IF_ERROR(positive.Init());
+  return negative.Init();
+}
+
+void CdChains::Sweep(int sweeps) {
+  for (int s = 0; s < sweeps; ++s) {
+    positive.Sweep();
+    negative.Sweep();
+  }
+}
+
+Status LearningDiverged(const FactorGraph& graph, int epoch, uint32_t w,
+                        double value, double gradient, double lr) {
+  return Status::InvalidArgument(StrFormat(
+      "learning diverged at epoch %d: weight %u ('%s') became non-finite "
+      "(value=%g, gradient=%g, lr=%g) — reduce learning_rate or increase l2",
+      epoch, w, graph.weight(w).description.c_str(), value, gradient, lr));
+}
+
+Result<double> CdStep(const FactorGraph& graph, const CdChains& chains,
+                      const CdStepOptions& options, std::vector<double>* weights) {
+  std::vector<double> gradient(graph.num_weights(), 0.0);
+  ForEachCdTerm(graph, chains, options.num_owned, [&](uint32_t, uint32_t w, double term) {
+    if (term != 0.0) gradient[w] += term;
+  });
+  double norm = 0.0;
+  for (uint32_t w = 0; w < graph.num_weights(); ++w) {
+    if (graph.weight(w).is_fixed) continue;
+    const double value = (*weights)[w];
+    const double g = options.gradient_scale * gradient[w] - options.l2 * value;
+    const double updated = value + options.learning_rate * g;
+    if (!std::isfinite(g) || !std::isfinite(updated)) {
+      return LearningDiverged(graph, options.epoch, w, updated, g,
+                              options.learning_rate);
+    }
+    (*weights)[w] = updated;
+    norm += g * g;
+  }
+  return std::sqrt(norm);
+}
+
 Status Learner::Learn(const LearnOptions& options) {
   DD_RETURN_IF_ERROR(graph_->Finalize());
   DD_TRACE_SPAN_VAR(learn_span, "learner.learn");
   gradient_norms_.clear();
   resumed_from_epoch_ = 0;
 
-  GibbsOptions pos_opts;
-  pos_opts.seed = options.seed;
-  pos_opts.clamp_evidence = true;
-  GibbsSampler positive(graph_, pos_opts);
-  DD_RETURN_IF_ERROR(positive.Init());
-
-  GibbsOptions neg_opts;
-  neg_opts.seed = options.seed ^ 0x5bd1e995;
-  neg_opts.clamp_evidence = false;
-  GibbsSampler negative(graph_, neg_opts);
-  DD_RETURN_IF_ERROR(negative.Init());
+  CdChains chains(graph_, options.seed, options.seed ^ 0x5bd1e995);
+  DD_RETURN_IF_ERROR(chains.Init());
 
   const bool durable = !options.checkpoint_dir.empty();
   int start_epoch = 0;
   double lr = options.learning_rate;
   if (durable && FileExists(CheckpointPath(options))) {
-    DD_RETURN_IF_ERROR(RestoreLearnerCheckpoint(options, graph_, &positive,
-                                                &negative, &start_epoch, &lr));
+    DD_RETURN_IF_ERROR(
+        RestoreLearnerCheckpoint(options, graph_, &chains, &start_epoch, &lr));
     resumed_from_epoch_ = start_epoch;
   }
 
-  const size_t nw = graph_->num_weights();
-  const size_t nf = graph_->num_factors();
-  std::vector<double> gradient(nw);
-
+  std::vector<double> weights = graph_->weight_values();
   for (int epoch = start_epoch; epoch < options.epochs; ++epoch) {
     Stopwatch epoch_watch;
     Status injected;
     DD_FAILPOINT(failpoints::kLearnerEpoch, &injected);
     if (!injected.ok()) return injected;
 
-    for (int s = 0; s < options.sweeps_per_epoch; ++s) {
-      positive.Sweep();
-      negative.Sweep();
-    }
-    std::fill(gradient.begin(), gradient.end(), 0.0);
-    const uint8_t* pos = positive.assignment().data();
-    const uint8_t* neg = negative.assignment().data();
-    for (uint32_t f = 0; f < nf; ++f) {
-      uint32_t w = graph_->factor_weight(f);
-      if (graph_->weight(w).is_fixed) continue;
-      double h_pos = graph_->EvalFactor(f, pos);
-      double h_neg = graph_->EvalFactor(f, neg);
-      if (h_pos != h_neg) gradient[w] += h_pos - h_neg;
-    }
-    double norm = 0.0;
-    for (uint32_t w = 0; w < nw; ++w) {
-      if (graph_->weight(w).is_fixed) continue;
-      const double value = graph_->weight_value(w);
-      double g = gradient[w] - options.l2 * value;
-      double updated = value + lr * g;
-      if (!std::isfinite(g) || !std::isfinite(updated)) {
-        return Status::InvalidArgument(StrFormat(
-            "learning diverged at epoch %d: weight %u ('%s') became non-finite "
-            "(value=%g, gradient=%g, lr=%g) — reduce learning_rate or increase l2",
-            epoch, w, graph_->weight(w).description.c_str(), updated, g, lr));
-      }
-      graph_->set_weight_value(w, updated);
-      norm += g * g;
-    }
-    gradient_norms_.push_back(std::sqrt(norm));
+    chains.Sweep(options.sweeps_per_epoch);
+    DD_ASSIGN_OR_RETURN(const double norm,
+                        CdStep(*graph_, chains, {lr, options.l2, epoch}, &weights));
+    graph_->set_weight_values(weights);
+    gradient_norms_.push_back(norm);
     DD_COUNTER_ADD("dd.learner.epochs", 1);
     DD_HISTOGRAM_OBSERVE("dd.learner.epoch_seconds", epoch_watch.Seconds());
-    DD_HISTOGRAM_OBSERVE("dd.learner.gradient_norm", gradient_norms_.back());
+    DD_HISTOGRAM_OBSERVE("dd.learner.gradient_norm", norm);
     lr *= options.decay;
 
     if (durable && options.checkpoint_interval > 0 &&
         (epoch + 1) % options.checkpoint_interval == 0 &&
         epoch + 1 < options.epochs) {
       DD_RETURN_IF_ERROR(
-          WriteLearnerCheckpoint(options, *graph_, positive, negative, epoch + 1,
-                                 lr));
+          WriteLearnerCheckpoint(options, *graph_, chains, epoch + 1, lr));
     }
   }
   if (durable) {
-    DD_RETURN_IF_ERROR(WriteLearnerCheckpoint(options, *graph_, positive,
-                                              negative, options.epochs, lr));
+    DD_RETURN_IF_ERROR(
+        WriteLearnerCheckpoint(options, *graph_, chains, options.epochs, lr));
   }
   learn_span.Attr("epochs_run",
                   static_cast<double>(options.epochs - start_epoch));

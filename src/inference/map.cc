@@ -18,11 +18,8 @@ Result<MapResult> MapInference(const FactorGraph& graph, const MapOptions& optio
     return Status::InvalidArgument("temperatures must be positive");
   }
 
-  const size_t nv = graph.num_variables();
-  std::vector<uint32_t> free_vars;
-  for (uint32_t v = 0; v < nv; ++v) {
-    if (!(options.clamp_evidence && graph.is_evidence(v))) free_vars.push_back(v);
-  }
+  DD_ASSIGN_OR_RETURN(const std::vector<uint32_t> free_vars,
+                      FreeVariables(graph, options.clamp_evidence, nullptr));
 
   MapResult best;
   best.log_potential = -1e300;
@@ -34,14 +31,8 @@ Result<MapResult> MapInference(const FactorGraph& graph, const MapOptions& optio
 
   for (int restart = 0; restart < options.restarts; ++restart) {
     Rng rng(options.seed + 0x9e3779b9ULL * restart);
-    std::vector<uint8_t> assignment(nv, 0);
-    for (uint32_t v = 0; v < nv; ++v) {
-      if (options.clamp_evidence && graph.is_evidence(v)) {
-        assignment[v] = graph.evidence_value(v) ? 1 : 0;
-      } else {
-        assignment[v] = rng.NextBernoulli(0.5) ? 1 : 0;
-      }
-    }
+    std::vector<uint8_t> assignment;
+    InitChain(graph, free_vars, &rng, &assignment);
     double temperature = options.initial_temperature;
     for (int sweep = 0; sweep < options.sweeps; ++sweep) {
       for (uint32_t v : free_vars) {

@@ -1,13 +1,12 @@
 #include "inference/numa.h"
 
 #include <atomic>
-#include <barrier>
-#include <memory>
+#include <cmath>
+#include <functional>
 #include <thread>
 
-#include "inference/gibbs.h"
+#include "inference/hogwild.h"
 #include "util/metrics.h"
-#include "util/rng.h"
 #include "util/trace.h"
 
 namespace dd {
@@ -41,33 +40,76 @@ std::vector<std::vector<uint32_t>> BuildScopes(const FactorGraph& graph) {
   return scope;
 }
 
+/// Node owning variable v when nv variables are block-partitioned
+/// across `nodes` memory nodes.
+int BlockOwner(uint32_t v, size_t nv, int nodes) {
+  size_t block = (nv + nodes - 1) / nodes;
+  if (block == 0) block = 1;
+  const int n = static_cast<int>(v / block);
+  return n >= nodes ? nodes - 1 : n;
+}
+
+/// One unaware-learner epoch on node `node`: sweep the node's chains
+/// under the shared weights, then a Hogwild-style racy update of the
+/// shared weight per factor while other nodes read and write it too (the
+/// paper's baseline, so it deliberately bypasses CdStep's replica).
+/// `local_lr` is the epoch's rate split across nodes so the combined
+/// step matches.
+void RacyUnawareEpoch(FactorGraph* graph, const NumaTopology& topology,
+                      CdChains* chains, int node, int sweeps, double local_lr,
+                      std::atomic<uint64_t>* total_acc,
+                      std::atomic<uint64_t>* remote_acc) {
+  chains->Sweep(sweeps);
+  // Factor f is owned by the node owning its first literal's variable;
+  // weight w by node w % nodes (weights are shared model state).
+  const int nodes = topology.num_nodes;
+  uint64_t acc = 0, remote = 0;
+  ForEachCdTerm(*graph, *chains, UINT32_MAX, [&](uint32_t f, uint32_t w, double term) {
+    ++acc;
+    const bool weight_remote = static_cast<int>(w % nodes) != node;
+    size_t nlit = 0;
+    const Literal* lits = graph->factor_literals(f, &nlit);
+    if (nlit > 0 && BlockOwner(lits[0].var, graph->num_variables(), nodes) != node) {
+      ++remote;  // factor fetch
+    }
+    if (weight_remote) {
+      ++remote;
+      SpinPenalty(topology.remote_penalty_iters);
+    }
+    if (term != 0.0) {
+      graph->set_weight_value(w, graph->weight_value(w) + local_lr * term);
+      if (weight_remote) {
+        ++remote;
+        SpinPenalty(topology.remote_penalty_iters);
+      }
+    }
+  });
+  total_acc->fetch_add(acc, std::memory_order_relaxed);
+  remote_acc->fetch_add(remote, std::memory_order_relaxed);
+}
+
 }  // namespace
 
 NumaSampler::NumaSampler(const FactorGraph* graph, const NumaTopology& topology,
-                         int burn_in, int num_samples, uint64_t seed,
-                         bool use_compiled)
+                         int burn_in, int num_samples, uint64_t seed)
     : graph_(graph),
       topology_(topology),
       burn_in_(burn_in),
       num_samples_(num_samples),
-      seed_(seed),
-      use_compiled_(use_compiled) {}
+      seed_(seed) {}
 
-int NumaSampler::OwnerNode(uint32_t var) const {
-  const size_t nv = graph_->num_variables();
-  size_t block = (nv + topology_.num_nodes - 1) / topology_.num_nodes;
-  if (block == 0) block = 1;
-  int node = static_cast<int>(var / block);
-  return node >= topology_.num_nodes ? topology_.num_nodes - 1 : node;
-}
-
-Result<NumaRunStats> NumaSampler::RunAware() {
+Status NumaSampler::CheckRun() const {
   if (!graph_->finalized()) {
     return Status::InvalidArgument("NumaSampler requires a finalized graph");
   }
-  const int nodes = topology_.num_nodes;
-  if (nodes < 1) return Status::InvalidArgument("num_nodes must be >= 1");
+  if (topology_.num_nodes < 1) return Status::InvalidArgument("num_nodes must be >= 1");
   if (num_samples_ < 1) return Status::InvalidArgument("num_samples must be >= 1");
+  return Status::OK();
+}
+
+Result<NumaRunStats> NumaSampler::RunAware() {
+  DD_RETURN_IF_ERROR(CheckRun());
+  const int nodes = topology_.num_nodes;
   DD_TRACE_SPAN_VAR(run_span, "numa.run_aware");
   const size_t nv = graph_->num_variables();
   // Split the sample budget across nodes, spreading the remainder over
@@ -89,8 +131,6 @@ Result<NumaRunStats> NumaSampler::RunAware() {
       opts.burn_in = burn_in_;
       opts.num_samples = node_samples[n];
       opts.seed = seed_ + 0x51ed270bULL * static_cast<uint64_t>(n + 1);
-      opts.clamp_evidence = true;
-      opts.use_compiled = use_compiled_;
       GibbsSampler chain(graph_, opts);
       auto result = chain.RunMarginals();
       if (result.ok()) {
@@ -125,86 +165,47 @@ Result<NumaRunStats> NumaSampler::RunAware() {
 }
 
 Result<NumaRunStats> NumaSampler::RunUnaware() {
-  if (!graph_->finalized()) {
-    return Status::InvalidArgument("NumaSampler requires a finalized graph");
-  }
-  const int nodes = topology_.num_nodes;
-  if (nodes < 1) return Status::InvalidArgument("num_nodes must be >= 1");
-  if (num_samples_ < 1) return Status::InvalidArgument("num_samples must be >= 1");
-  DD_TRACE_SPAN_VAR(run_span, "numa.run_unaware");
+  DD_RETURN_IF_ERROR(CheckRun());
+  const auto scopes = BuildScopes(*graph_);
   const size_t nv = graph_->num_variables();
-  auto scopes = BuildScopes(*graph_);
-
-  // Shared assignment; each node's thread samples the variables it owns,
-  // but must read (and count) neighbor state on other nodes.
-  Rng init_rng(seed_);
-  std::vector<uint8_t> assignment(nv);
-  std::vector<std::vector<uint32_t>> parts(nodes);
-  for (uint32_t v = 0; v < nv; ++v) {
-    if (graph_->is_evidence(v)) {
-      assignment[v] = graph_->evidence_value(v) ? 1 : 0;
-    } else {
-      assignment[v] = init_rng.NextBernoulli(0.5) ? 1 : 0;
-      parts[OwnerNode(v)].push_back(v);
-    }
-  }
-
-  const int total_sweeps = burn_in_ + num_samples_;
-  std::vector<std::vector<uint64_t>> counts(nodes, std::vector<uint64_t>(nv, 0));
-  std::atomic<uint64_t> steps{0}, total_acc{0}, remote_acc{0};
-  std::barrier sweep_barrier(nodes);
-
-  std::vector<std::thread> threads;
-  for (int n = 0; n < nodes; ++n) {
-    threads.emplace_back([&, n] {
-      Rng rng(seed_ + 0x9e3779b9 * (n + 1));
-      uint8_t* a = assignment.data();
-      uint64_t local_total = 0, local_remote = 0, local_steps = 0;
-      for (int sweep = 0; sweep < total_sweeps; ++sweep) {
-        for (uint32_t v : parts[n]) {
-          for (uint32_t u : scopes[v]) {
-            ++local_total;
-            if (OwnerNode(u) != n) {
-              ++local_remote;
-              SpinPenalty(topology_.remote_penalty_iters);
+  const int nodes = topology_.num_nodes;
+  // Each node's thread samples the variables it owns on the shared
+  // chain, but must read (and count) neighbor state on other nodes.
+  std::atomic<uint64_t> total_acc{0}, remote_acc{0};
+  ParallelGibbsOptions options;
+  options.num_threads = nodes;
+  options.burn_in = burn_in_;
+  options.num_samples = num_samples_;
+  options.seed = seed_;
+  DD_ASSIGN_OR_RETURN(
+      ParallelRun run,
+      RunParallelSweeps(
+          *graph_, options, "numa.run_unaware",
+          [&](uint32_t v, size_t) { return static_cast<size_t>(BlockOwner(v, nv, nodes)); },
+          [&](SweepThread* thread, int) {
+            const int node = static_cast<int>(thread->index);
+            uint64_t total = 0, remote = 0;
+            for (uint32_t v : thread->part) {
+              for (uint32_t u : scopes[v]) {
+                ++total;
+                if (BlockOwner(u, nv, nodes) != node) {
+                  ++remote;
+                  SpinPenalty(topology_.remote_penalty_iters);
+                }
+              }
+              thread->Step(v);
             }
-          }
-          double delta = use_compiled_ ? graph_->PotentialDeltaCompiled(v, a)
-                                       : graph_->PotentialDelta(v, a);
-          a[v] = rng.NextBernoulli(Sigmoid(delta)) ? 1 : 0;
-        }
-        local_steps += parts[n].size();
-        if (sweep >= burn_in_) {
-          for (uint32_t v : parts[n]) counts[n][v] += a[v];
-        }
-        sweep_barrier.arrive_and_wait();
-      }
-      steps.fetch_add(local_steps, std::memory_order_relaxed);
-      total_acc.fetch_add(local_total, std::memory_order_relaxed);
-      remote_acc.fetch_add(local_remote, std::memory_order_relaxed);
-    });
-  }
-  for (auto& th : threads) th.join();
+            total_acc.fetch_add(total, std::memory_order_relaxed);
+            remote_acc.fetch_add(remote, std::memory_order_relaxed);
+          }));
 
   NumaRunStats stats;
-  stats.marginals.assign(nv, 0.0);
-  for (int n = 0; n < nodes; ++n) {
-    for (uint32_t v : parts[n]) {
-      stats.marginals[v] = static_cast<double>(counts[n][v]) / num_samples_;
-    }
-  }
-  for (uint32_t v = 0; v < nv; ++v) {
-    if (graph_->is_evidence(v)) {
-      stats.marginals[v] = graph_->evidence_value(v) ? 1.0 : 0.0;
-    }
-  }
-  stats.steps = steps.load();
+  stats.marginals = std::move(run.marginals);
+  stats.steps = run.steps;
   stats.total_accesses = total_acc.load();
   stats.remote_accesses = remote_acc.load();
   DD_COUNTER_ADD("dd.numa.total_accesses", stats.total_accesses);
   DD_COUNTER_ADD("dd.numa.remote_accesses", stats.remote_accesses);
-  run_span.Attr("nodes", static_cast<double>(nodes));
-  run_span.Attr("remote_accesses", static_cast<double>(stats.remote_accesses));
   return stats;
 }
 
@@ -213,85 +214,41 @@ Result<NumaLearnStats> NumaLearner::Learn(const LearnOptions& options, bool numa
   const int nodes = topology_.num_nodes;
   if (nodes < 1) return Status::InvalidArgument("num_nodes must be >= 1");
   const size_t nw = graph_->num_weights();
-  const size_t nf = graph_->num_factors();
-
-  // Factor f is owned by the node owning its first literal's variable.
-  const size_t nv = graph_->num_variables();
-  size_t block = (nv + nodes - 1) / nodes;
-  if (block == 0) block = 1;
-  auto owner_of_var = [&](uint32_t v) {
-    int n = static_cast<int>(v / block);
-    return n >= nodes ? nodes - 1 : n;
+  std::vector<CdChains> chains;
+  chains.reserve(nodes);
+  for (int n = 0; n < nodes; ++n) {
+    chains.emplace_back(graph_, options.seed + 2 * n, options.seed + 2 * n + 1);
+    DD_RETURN_IF_ERROR(chains.back().Init());
+  }
+  // Runs `work(n)` on one thread per node and joins them.
+  auto on_every_node = [nodes](const std::function<void(int)>& work) {
+    std::vector<std::thread> threads;
+    for (int n = 0; n < nodes; ++n) threads.emplace_back(work, n);
+    for (auto& th : threads) th.join();
   };
-  // Weight w owned by node w % nodes (weights are shared model state).
-  auto owner_of_weight = [&](uint32_t w) { return static_cast<int>(w % nodes); };
 
   NumaLearnStats stats;
-
+  double lr = options.learning_rate;
   if (numa_aware) {
-    // Per-node weight replicas; each node runs CD-style SGD on its own
-    // full-graph chains (replicated), then replicas are averaged per epoch.
-    // All per-epoch accesses are node-local.
-    std::vector<std::vector<double>> replicas(nodes, std::vector<double>(nw));
-    for (int n = 0; n < nodes; ++n) {
-      for (uint32_t w = 0; w < nw; ++w) replicas[n][w] = graph_->weight_value(w);
+    // Per-node weight replicas: each node sweeps its own full-graph
+    // chains and takes a CdStep on its replica; the replicas are
+    // averaged per epoch. Chains sample under the graph's weights, which
+    // only change at the averaging barrier, so every per-epoch access is
+    // node-local.
+    std::vector<double> averaged = graph_->weight_values();
+    std::vector<std::vector<double>> replicas(nodes, averaged);
+    uint64_t learnable_factors = 0;  // one local replica access each per step
+    for (uint32_t f = 0; f < graph_->num_factors(); ++f) {
+      if (!graph_->weight(graph_->factor_weight(f)).is_fixed) ++learnable_factors;
     }
-    std::vector<double> averaged(nw);
-    for (uint32_t w = 0; w < nw; ++w) averaged[w] = graph_->weight_value(w);
-
-    // Chains per node.
-    struct NodeChains {
-      std::unique_ptr<GibbsSampler> pos, neg;
-    };
-    std::vector<NodeChains> chains(nodes);
-    for (int n = 0; n < nodes; ++n) {
-      GibbsOptions pos_opts;
-      pos_opts.seed = options.seed + 2 * n;
-      pos_opts.clamp_evidence = true;
-      chains[n].pos = std::make_unique<GibbsSampler>(graph_, pos_opts);
-      DD_RETURN_IF_ERROR(chains[n].pos->Init());
-      GibbsOptions neg_opts;
-      neg_opts.seed = options.seed + 2 * n + 1;
-      neg_opts.clamp_evidence = false;
-      chains[n].neg = std::make_unique<GibbsSampler>(graph_, neg_opts);
-      DD_RETURN_IF_ERROR(chains[n].neg->Init());
-    }
-
-    double lr = options.learning_rate;
-    std::atomic<uint64_t> total_acc{0};
     for (int epoch = 0; epoch < options.epochs; ++epoch) {
-      // NOTE: the per-epoch weight values live in the replica, so the
-      // gradient step must read the replica, not graph_ weights. We
-      // temporarily install the replica into the graph per node — but
-      // that would race across threads; instead evaluate factors (which
-      // depend only on assignments) and apply gradients to replicas.
-      std::vector<std::thread> threads;
-      for (int n = 0; n < nodes; ++n) {
-        threads.emplace_back([&, n] {
-          for (int s = 0; s < options.sweeps_per_epoch; ++s) {
-            chains[n].pos->Sweep();
-            chains[n].neg->Sweep();
-          }
-          const uint8_t* pos = chains[n].pos->assignment().data();
-          const uint8_t* neg = chains[n].neg->assignment().data();
-          std::vector<double> grad(nw, 0.0);
-          uint64_t acc = 0;
-          for (uint32_t f = 0; f < nf; ++f) {
-            uint32_t w = graph_->factor_weight(f);
-            if (graph_->weight(w).is_fixed) continue;
-            double h_pos = graph_->EvalFactor(f, pos);
-            double h_neg = graph_->EvalFactor(f, neg);
-            ++acc;  // local access to the replica weight
-            if (h_pos != h_neg) grad[w] += h_pos - h_neg;
-          }
-          for (uint32_t w = 0; w < nw; ++w) {
-            if (graph_->weight(w).is_fixed) continue;
-            replicas[n][w] += lr * (grad[w] - options.l2 * replicas[n][w]);
-          }
-          total_acc.fetch_add(acc, std::memory_order_relaxed);
-        });
-      }
-      for (auto& th : threads) th.join();
+      std::vector<Status> node_status(nodes);
+      on_every_node([&](int n) {
+        chains[n].Sweep(options.sweeps_per_epoch);
+        node_status[n] =
+            CdStep(*graph_, chains[n], {lr, options.l2, epoch}, &replicas[n]).status();
+      });
+      for (const Status& st : node_status) DD_RETURN_IF_ERROR(st);
 
       // Model averaging at the epoch barrier (the only cross-node step;
       // nw remote accesses per node).
@@ -301,82 +258,34 @@ Result<NumaLearnStats> NumaLearner::Learn(const LearnOptions& options, bool numa
         for (int n = 0; n < nodes; ++n) sum += replicas[n][w];
         averaged[w] = sum / nodes;
         for (int n = 0; n < nodes; ++n) replicas[n][w] = averaged[w];
-        graph_->set_weight_value(w, averaged[w]);
       }
+      graph_->set_weight_values(averaged);
       stats.remote_accesses += static_cast<uint64_t>(nw) * (nodes - 1);
       lr *= options.decay;
     }
-    stats.total_accesses = total_acc.load() + stats.remote_accesses;
+    stats.total_accesses = learnable_factors * nodes * options.epochs +
+                           stats.remote_accesses;
     return stats;
   }
 
   // Non-NUMA-aware: one shared weight vector; every node's gradient pass
   // reads and writes weights wherever they live.
-  struct NodeChains {
-    std::unique_ptr<GibbsSampler> pos, neg;
-  };
-  std::vector<NodeChains> chains(nodes);
-  for (int n = 0; n < nodes; ++n) {
-    GibbsOptions pos_opts;
-    pos_opts.seed = options.seed + 2 * n;
-    pos_opts.clamp_evidence = true;
-    chains[n].pos = std::make_unique<GibbsSampler>(graph_, pos_opts);
-    DD_RETURN_IF_ERROR(chains[n].pos->Init());
-    GibbsOptions neg_opts;
-    neg_opts.seed = options.seed + 2 * n + 1;
-    neg_opts.clamp_evidence = false;
-    chains[n].neg = std::make_unique<GibbsSampler>(graph_, neg_opts);
-    DD_RETURN_IF_ERROR(chains[n].neg->Init());
-  }
-
-  double lr = options.learning_rate;
   std::atomic<uint64_t> total_acc{0}, remote_acc{0};
   for (int epoch = 0; epoch < options.epochs; ++epoch) {
-    std::vector<std::thread> threads;
-    for (int n = 0; n < nodes; ++n) {
-      threads.emplace_back([&, n] {
-        for (int s = 0; s < options.sweeps_per_epoch; ++s) {
-          chains[n].pos->Sweep();
-          chains[n].neg->Sweep();
-        }
-        const uint8_t* pos = chains[n].pos->assignment().data();
-        const uint8_t* neg = chains[n].neg->assignment().data();
-        uint64_t acc = 0, remote = 0;
-        double local_lr = lr / nodes;  // scale so the combined step matches
-        for (uint32_t f = 0; f < nf; ++f) {
-          uint32_t w = graph_->factor_weight(f);
-          if (graph_->weight(w).is_fixed) continue;
-          double h_pos = graph_->EvalFactor(f, pos);
-          double h_neg = graph_->EvalFactor(f, neg);
-          ++acc;
-          bool weight_remote = owner_of_weight(w) != n;
-          size_t nlit = 0;
-          const Literal* lits = graph_->factor_literals(f, &nlit);
-          if (nlit > 0 && owner_of_var(lits[0].var) != n) ++remote;  // factor fetch
-          if (weight_remote) {
-            ++remote;
-            SpinPenalty(topology_.remote_penalty_iters);
-          }
-          if (h_pos != h_neg) {
-            // Hogwild-style racy update on the shared weight.
-            graph_->set_weight_value(
-                w, graph_->weight_value(w) + local_lr * (h_pos - h_neg));
-            if (weight_remote) {
-              ++remote;
-              SpinPenalty(topology_.remote_penalty_iters);
-            }
-          }
-        }
-        total_acc.fetch_add(acc, std::memory_order_relaxed);
-        remote_acc.fetch_add(remote, std::memory_order_relaxed);
-      });
-    }
-    for (auto& th : threads) th.join();
-    // L2 + decay applied once per epoch on the shared model.
+    on_every_node([&](int n) {
+      RacyUnawareEpoch(graph_, topology_, &chains[n], n, options.sweeps_per_epoch,
+                       lr / nodes, &total_acc, &remote_acc);
+    });
+    // L2 + decay applied once per epoch on the shared model; the racy
+    // per-factor writes above skip the divergence check, so it lands here.
     for (uint32_t w = 0; w < nw; ++w) {
       if (graph_->weight(w).is_fixed) continue;
       const double value = graph_->weight_value(w);
-      graph_->set_weight_value(w, value - lr * options.l2 * value);
+      const double updated = value - lr * options.l2 * value;
+      if (!std::isfinite(updated)) {
+        return LearningDiverged(*graph_, epoch, w, updated, -options.l2 * value, lr);
+      }
+      graph_->set_weight_value(w, updated);
     }
     lr *= options.decay;
   }

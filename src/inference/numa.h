@@ -21,7 +21,6 @@ namespace dd {
 /// sockets is the quantity of interest).
 struct NumaTopology {
   int num_nodes = 4;
-  int cores_per_node = 1;
   uint64_t remote_penalty_iters = 0;
 };
 
@@ -38,8 +37,9 @@ struct NumaRunStats {
 ///   independent full-graph chain against its local replica and the
 ///   per-node marginal estimates are averaged (model averaging [57]).
 ///   No cross-node traffic during sampling.
-/// * RunUnaware — a single shared chain; threads on every node sample a
-///   partition of the variables, so reads of neighbor state and writes
+/// * RunUnaware — the parallel-sweep driver over one shared chain with
+///   an owner-block partition: threads on every node sample the
+///   variables their node owns, so reads of neighbor state and writes
 ///   of sampled values constantly cross node boundaries.
 ///
 /// Both produce `num_samples` counted sweeps in total (the aware mode
@@ -47,23 +47,20 @@ struct NumaRunStats {
 /// all variables" accounting.
 class NumaSampler {
  public:
-  /// `use_compiled` selects the compiled kernel streams (default) or the
-  /// interpreted CSR reference path for every delta computation.
   NumaSampler(const FactorGraph* graph, const NumaTopology& topology, int burn_in,
-              int num_samples, uint64_t seed, bool use_compiled = true);
+              int num_samples, uint64_t seed);
 
   Result<NumaRunStats> RunAware();
   Result<NumaRunStats> RunUnaware();
 
  private:
-  int OwnerNode(uint32_t var) const;
+  Status CheckRun() const;
 
   const FactorGraph* graph_;
   NumaTopology topology_;
   int burn_in_;
   int num_samples_;
   uint64_t seed_;
-  bool use_compiled_;
 };
 
 struct NumaLearnStats {
@@ -71,10 +68,12 @@ struct NumaLearnStats {
   uint64_t remote_accesses = 0;
 };
 
-/// Weight learning under the two strategies: NUMA-aware keeps a weight
-/// replica per node and averages replicas after every epoch (Zinkevich
-/// model averaging); the unaware baseline shares one weight vector that
-/// every node hammers remotely.
+/// Weight learning under the two strategies, one CdChains pair per node:
+/// NUMA-aware keeps a weight replica per node, takes a CdStep on it, and
+/// averages replicas after every epoch (Zinkevich model averaging); the
+/// unaware baseline shares one weight vector that every node hammers
+/// remotely with racy per-factor writes. Both report divergence the way
+/// Learner::Learn does.
 class NumaLearner {
  public:
   NumaLearner(FactorGraph* graph, const NumaTopology& topology)

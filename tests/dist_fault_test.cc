@@ -25,10 +25,14 @@
 
 #include <cstdint>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "dist/coordinator.h"
+#include "dist/protocol.h"
+#include "dist/shard.h"
 #include "dist/wire.h"
+#include "factor/io.h"
 #include "testdata/synthetic_graphs.h"
 #include "util/crc32c.h"
 #include "util/deadline.h"
@@ -211,6 +215,75 @@ TEST_F(DistFaultTest, BadMagicIsCorruption) {
   auto received = conn->RecvFrame(Deadline::AfterMillis(5000));
   EXPECT_EQ(received.status().code(), StatusCode::kCorruption);
   ::close(fd);
+}
+
+// ---- Shard worker: an assignment that disagrees with its own graph -----
+
+/// Drive one shard worker through the handshake with a hand-built
+/// assignment and return the worker's own Status. A worker that accepts
+/// the assignment answers kMsgReady and is told to finish.
+Status RunWorkerOnAssignment(const AssignMsg& assign) {
+  auto listener = WireListener::Listen("tcp:127.0.0.1:0");
+  if (!listener.ok()) return listener.status();
+  Status worker_status;
+  std::thread worker([&] {
+    ShardWorkerOptions options;
+    options.endpoint = listener->endpoint();
+    options.shard = assign.shard;
+    options.io_deadline_ms = 5000;
+    worker_status = RunShardWorker(options);
+  });
+  auto conn = listener->Accept(Deadline::AfterMillis(5000));
+  EXPECT_TRUE(conn.ok()) << conn.status().ToString();
+  if (conn.ok()) {
+    auto hello = conn->RecvFrame(Deadline::AfterMillis(5000));
+    EXPECT_TRUE(hello.ok() && hello->type == kMsgHello);
+    EXPECT_TRUE(conn->SendFrame(kMsgAssign, EncodeAssign(assign),
+                                Deadline::AfterMillis(5000))
+                    .ok());
+    auto ready = conn->RecvFrame(Deadline::AfterMillis(5000));
+    if (ready.ok()) {
+      EXPECT_TRUE(conn->SendFrame(kMsgFinish, "", Deadline::AfterMillis(5000)).ok());
+    }
+  }
+  worker.join();
+  return worker_status;
+}
+
+AssignMsg AssignmentFor(const FactorGraph& graph) {
+  AssignMsg assign;
+  assign.num_owned = graph.num_variables();
+  for (uint32_t v = 0; v < graph.num_variables(); ++v) {
+    assign.local_to_global.push_back(v);
+  }
+  assign.epochs = 2;
+  GraphSnapshot snap;
+  snap.has_graph = true;
+  snap.graph = graph;
+  assign.graph_snapshot = EncodeGraphSnapshot(snap);
+  return assign;
+}
+
+TEST_F(DistFaultTest, ShardRejectsAssignmentOutsideItsGraph) {
+  const FactorGraph graph = MakeFaultGraph();
+  const uint64_t nv = graph.num_variables();
+
+  // The well-formed assignment is accepted (guards the harness itself).
+  EXPECT_TRUE(RunWorkerOnAssignment(AssignmentFor(graph)).ok());
+
+  AssignMsg too_many = AssignmentFor(graph);
+  too_many.num_owned = nv + 1;
+  AssignMsg unsorted = AssignmentFor(graph);
+  unsorted.owned_boundary = {5, 3};
+  AssignMsg duplicate = AssignmentFor(graph);
+  duplicate.owned_boundary = {3, 3};
+  AssignMsg not_owned = AssignmentFor(graph);
+  not_owned.num_owned = 10;
+  not_owned.owned_boundary = {2, 10};
+  for (const AssignMsg& bad : {too_many, unsorted, duplicate, not_owned}) {
+    Status status = RunWorkerOnAssignment(bad);
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << status.ToString();
+  }
 }
 
 // ---- Kill a shard mid-epoch; resume bit-identically -------------------

@@ -352,5 +352,53 @@ TEST(GibbsTest, RequiresFinalizedGraph) {
   EXPECT_FALSE(sampler.Init().ok());
 }
 
+TEST(GibbsTest, RejectsMalformedFreeSets) {
+  // Unsorted, duplicated or out-of-range members used to be dropped by
+  // Init but copied verbatim by RestoreState (then swept past the end
+  // of the assignment); both must refuse them.
+  FactorGraph g = RandomGraph(57, 100, 40, 10);
+  const std::vector<std::vector<uint32_t>> bad_sets = {
+      {0, 5, 1000}, {5, 0}, {3, 3}, {100}};
+  for (const auto& free_set : bad_sets) {
+    GibbsOptions opts;
+    opts.free_set = &free_set;
+    GibbsSampler sampler(&g, opts);
+    Status init = sampler.Init();
+    EXPECT_EQ(init.code(), StatusCode::kInvalidArgument) << init.ToString();
+    Status restore = sampler.RestoreState(std::vector<uint8_t>(100, 0), {}, 0,
+                                          Rng(1).state());
+    EXPECT_EQ(restore.code(), StatusCode::kInvalidArgument) << restore.ToString();
+  }
+  const std::vector<uint32_t> good = {0, 5, 99};
+  GibbsOptions opts;
+  opts.free_set = &good;
+  EXPECT_TRUE(GibbsSampler(&g, opts).Init().ok());
+}
+
+TEST(NumaLearnerTest, DivergenceIsReportedInBothModes) {
+  // The input on which Learner::Learn reports "learning diverged": both
+  // NUMA modes must fail the same way instead of returning NaN weights.
+  for (bool aware : {true, false}) {
+    FactorGraph g;
+    uint32_t w = g.AddWeight(0.0, false, "bias");
+    for (int i = 0; i < 100; ++i) {
+      uint32_t v = g.AddVariable(true, i < 75);
+      ASSERT_TRUE(g.AddFactor(FactorFunc::kIsTrue, w, {{v, true}}).ok());
+    }
+    ASSERT_TRUE(g.Finalize().ok());
+    NumaTopology topo;
+    topo.num_nodes = 4;
+    LearnOptions opts;
+    opts.epochs = 20;
+    opts.learning_rate = 1e300;
+    auto stats = NumaLearner(&g, topo).Learn(opts, aware);
+    ASSERT_FALSE(stats.ok()) << "aware=" << aware;
+    EXPECT_EQ(stats.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(stats.status().message().find("diverged"), std::string::npos)
+        << stats.status().ToString();
+    EXPECT_NE(stats.status().message().find("'bias'"), std::string::npos);
+  }
+}
+
 }  // namespace
 }  // namespace dd
