@@ -106,6 +106,13 @@ else
   python3 ci/bench_gate.py BENCH_distributed.json build/BENCH_distributed.json | tee -a "$gate_log"
 fi
 
+echo "=== end-to-end KBC benchmark smoke tests ==="
+# Every BENCHMARK.json workload at smoke scale, untraced and traced. The
+# runs fail on their own output checks: traced vs untraced epoch bytes,
+# served answers vs ProbabilityOf, query accounting, stream byte budget.
+# This is the only end-to-end drive of the incremental Update path.
+python3 kbcbench/test_kbc_bench.py
+
 echo "=== bench ratchet summary ==="
 if [ -s "$gate_log" ]; then
   echo "bench ratchets:" $(sed -n 's/^bench-gate: ratchet-summary: //p' "$gate_log" | tr '\n' ' ')

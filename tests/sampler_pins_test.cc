@@ -201,17 +201,24 @@ TEST(SamplerPins, IncrementalMaterializeAndUpdate) {
   const FactorGraph base = PinGraph();
   std::vector<uint32_t> changed;
   const FactorGraph extended = ExtendGraph(base, 8, 1.5, 61, &changed);
+  std::vector<uint32_t> every_var(extended.num_variables());
+  for (uint32_t v = 0; v < every_var.size(); ++v) every_var[v] = v;
   IncrementalOptions options;
   options.full_burn_in = 30;
   options.update_burn_in = 10;
   options.num_samples = 120;
   options.seed = 67;
-  IncrementalInference engine(&base, MaterializationStrategy::kSampling, options);
-  ASSERT_TRUE(engine.Materialize().ok());
-  EXPECT_EQ(Pin(engine.marginals()), 75096527u);
-  auto updated = engine.Update(&extended, changed);
-  ASSERT_TRUE(updated.ok()) << updated.status().ToString();
-  EXPECT_EQ(Pin(*updated), 3404453759u);
+  // Listing every variable touches every component: the whole-graph
+  // update. The delta's own changed set resamples only its components.
+  for (const auto& [update_changed, pin] :
+       {std::make_pair(every_var, 3404453759u), std::make_pair(changed, 85806650u)}) {
+    IncrementalInference engine(&base, MaterializationStrategy::kSampling, options);
+    ASSERT_TRUE(engine.Materialize().ok());
+    EXPECT_EQ(Pin(engine.marginals()), 75096527u);
+    auto updated = engine.Update(&extended, update_changed);
+    ASSERT_TRUE(updated.ok()) << updated.status().ToString();
+    EXPECT_EQ(Pin(*updated), pin);
+  }
 }
 
 DistributedOptions PinDistOptions(int num_shards) {
