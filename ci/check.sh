@@ -159,7 +159,7 @@ if [ -z "$failpoints" ]; then
 fi
 echo "discovered failpoint sites:" $failpoints
 failpoint_tests=$(ctest --test-dir build-san -N -L failpoints |
-  sed -n 's/^ *Test #[0-9]*: //p')
+  sed -n 's/^ *Test *#[0-9]*: //p')
 if [ -z "$failpoint_tests" ]; then
   echo "FAIL: no tests carry the 'failpoints' ctest label"
   exit 1

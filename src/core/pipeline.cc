@@ -1,11 +1,11 @@
 #include "core/pipeline.h"
 
 #include <algorithm>
-#include <cstdlib>
 #include <iterator>
 
 #include "core/diagnostics.h"
 #include "ddlog/parser.h"
+#include "factor/io.h"
 #include "stream/ingester.h"
 #include "serve/epoch.h"
 #include "util/failpoint.h"
@@ -283,14 +283,13 @@ Status DeepDivePipeline::PrepareRunDirectory() {
   const uint32_t crc = GraphFingerprint(grounder_->graph());
   if (resuming_ && run_dir_->HasManifest()) {
     DD_ASSIGN_OR_RETURN(auto manifest, run_dir_->ReadManifest());
-    auto it = manifest.find("graph_crc");
-    if (it == manifest.end() ||
-        std::strtoul(it->second.c_str(), nullptr, 10) != crc) {
+    DD_ASSIGN_OR_RETURN(uint64_t manifest_crc, MetaU64(manifest, "graph_crc"));
+    if (manifest_crc != crc) {
       return Status::InvalidArgument(StrFormat(
           "run directory %s belongs to a different pipeline: manifest graph "
-          "fingerprint %s, grounded graph %u",
-          run_dir_->path().c_str(),
-          it == manifest.end() ? "<missing>" : it->second.c_str(), crc));
+          "fingerprint %llu, grounded graph %u",
+          run_dir_->path().c_str(), static_cast<unsigned long long>(manifest_crc),
+          crc));
     }
     return Status::OK();
   }

@@ -79,12 +79,12 @@ class Coordinator {
   Status Reconcile(uint32_t shard, uint32_t phase, uint32_t index,
                    bool* have_result, std::string* result);
 
-  /// Drive exchange `index` of `phase` across every shard: send all
-  /// start frames, then collect all results, respawning forked workers
-  /// that fail with transient errors. Returns the raw result payloads.
-  Result<std::vector<std::string>> RunExchange(
-      uint32_t phase, uint32_t index, uint32_t start_type,
-      const std::vector<std::string>& start_payloads, uint32_t result_type);
+  /// Drive exchange `index` of `phase` across every shard: send each its
+  /// start frame (the averaged weights and its ghost pins), then collect
+  /// all results, respawning forked workers that fail with transient
+  /// errors. Checks each result's position and boundary sizes and
+  /// absorbs its boundary values before returning the results.
+  Result<std::vector<ExchangeResultMsg>> RunExchange(uint32_t phase, uint32_t index);
 
   Status RunLearning();
   Status RunInference(DistributedResult* result);
@@ -92,8 +92,6 @@ class Coordinator {
   void Teardown();
 
   std::vector<uint8_t> PinsFor(uint32_t shard) const;
-  void AbsorbBoundary(uint32_t shard, const std::vector<uint8_t>& bits,
-                      const std::vector<double>& estimates);
 
   Deadline IoDeadline() const {
     return Deadline::AfterMillis(options_.io_deadline_ms);
@@ -399,35 +397,35 @@ Status Coordinator::Reconcile(uint32_t shard, uint32_t phase, uint32_t index,
       shard, ready.phase, ready.next, phase, index));
 }
 
-Result<std::vector<std::string>> Coordinator::RunExchange(
-    uint32_t phase, uint32_t index, uint32_t start_type,
-    const std::vector<std::string>& start_payloads, uint32_t result_type) {
+Result<std::vector<ExchangeResultMsg>> Coordinator::RunExchange(uint32_t phase,
+                                                                uint32_t index) {
   const size_t n = handles_.size();
-  std::vector<std::string> results(n);
+  std::vector<std::string> payloads(n);
   // 0 = start not yet sent, 1 = sent (result outstanding), 2 = done.
   std::vector<int> state(n, 0);
 
   auto try_start = [&](uint32_t s) -> Status {
     bool have = false;
-    DD_RETURN_IF_ERROR(Reconcile(s, phase, index, &have, &results[s]));
+    DD_RETURN_IF_ERROR(Reconcile(s, phase, index, &have, &payloads[s]));
     if (have) {
       state[s] = 2;
       return Status::OK();
     }
-    DD_RETURN_IF_ERROR(SendFrameRetry(&handles_[s].conn, start_type,
-                                      start_payloads[s], IoDeadline(), &rng_));
+    ExchangeStartMsg start{phase, index, avg_weights_, PinsFor(s)};
+    DD_RETURN_IF_ERROR(SendFrameRetry(&handles_[s].conn, kMsgExchangeStart,
+                                      EncodeExchangeStart(start), IoDeadline(), &rng_));
     state[s] = 1;
     return Status::OK();
   };
   auto try_recv = [&](uint32_t s) -> Status {
     DD_ASSIGN_OR_RETURN(Frame frame,
                         RecvFrameRetry(&handles_[s].conn, IoDeadline(), &rng_));
-    if (frame.type != result_type) {
+    if (frame.type != kMsgExchangeResult) {
       return Status::Internal(
-          StrFormat("shard %u: expected frame type %u, got %u", s, result_type,
+          StrFormat("shard %u: expected an exchange result, got frame type %u", s,
                     frame.type));
     }
-    results[s] = std::move(frame.payload);
+    payloads[s] = std::move(frame.payload);
     state[s] = 2;
     return Status::OK();
   };
@@ -458,6 +456,28 @@ Result<std::vector<std::string>> Coordinator::RunExchange(
   for (uint32_t s = 0; s < n; ++s) {
     DD_RETURN_IF_ERROR(drive(s));
   }
+
+  std::vector<ExchangeResultMsg> results(n);
+  for (uint32_t s = 0; s < n; ++s) {
+    DD_ASSIGN_OR_RETURN(results[s], DecodeExchangeResult(payloads[s]));
+    const ExchangeResultMsg& r = results[s];
+    if (r.phase != phase || r.index != index) {
+      return Status::Internal(
+          StrFormat("shard %u answered phase %u exchange %u during phase %u exchange %u",
+                    s, r.phase, r.index, phase, index));
+    }
+    const std::vector<uint32_t>& boundary = owned_boundary_[s];
+    if (r.boundary_bits.size() != boundary.size() ||
+        r.boundary_estimates.size() != boundary.size()) {
+      return Status::Internal(
+          StrFormat("shard %u exchange result has mismatched sizes", s));
+    }
+    for (size_t i = 0; i < boundary.size(); ++i) {
+      const uint32_t global = local_to_global_[s][boundary[i]];
+      global_bits_[global] = r.boundary_bits[i];
+      global_estimates_[global] = r.boundary_estimates[i];
+    }
+  }
   return results;
 }
 
@@ -468,51 +488,20 @@ std::vector<uint8_t> Coordinator::PinsFor(uint32_t shard) const {
   return pins;
 }
 
-void Coordinator::AbsorbBoundary(uint32_t shard,
-                                 const std::vector<uint8_t>& bits,
-                                 const std::vector<double>& estimates) {
-  const std::vector<uint32_t>& boundary = owned_boundary_[shard];
-  for (size_t i = 0; i < boundary.size(); ++i) {
-    const uint32_t global = local_to_global_[shard][boundary[i]];
-    global_bits_[global] = bits[i];
-    global_estimates_[global] = estimates[i];
-  }
-}
-
 Status Coordinator::RunLearning() {
   const size_t n = handles_.size();
   const size_t nw = graph_->num_weights();
-  for (int epoch = 0; epoch < options_.epochs; ++epoch) {
-    std::vector<std::string> starts(n);
-    for (uint32_t s = 0; s < n; ++s) {
-      EpochStartMsg start;
-      start.epoch = static_cast<uint32_t>(epoch);
-      start.weights = avg_weights_;
-      start.pins = PinsFor(s);
-      starts[s] = EncodeEpochStart(start);
-    }
-    DD_ASSIGN_OR_RETURN(
-        std::vector<std::string> payloads,
-        RunExchange(kPhaseLearn, static_cast<uint32_t>(epoch), kMsgEpochStart,
-                    starts, kMsgEpochResult));
-
+  for (uint32_t epoch = 0; epoch < static_cast<uint32_t>(options_.epochs); ++epoch) {
+    DD_ASSIGN_OR_RETURN(std::vector<ExchangeResultMsg> results,
+                        RunExchange(kPhaseLearn, epoch));
     std::vector<double> sum(nw, 0.0);
     for (uint32_t s = 0; s < n; ++s) {
-      EpochResultMsg result;
-      DD_ASSIGN_OR_RETURN(result, DecodeEpochResult(payloads[s]));
-      if (result.epoch != static_cast<uint32_t>(epoch)) {
+      if (results[s].weights.size() != nw) {
         return Status::Internal(
-            StrFormat("shard %u answered epoch %u during epoch %d", s,
-                      result.epoch, epoch));
+            StrFormat("shard %u returned %zu weights, the model has %zu", s,
+                      results[s].weights.size(), nw));
       }
-      if (result.weights.size() != nw ||
-          result.boundary_bits.size() != owned_boundary_[s].size() ||
-          result.boundary_estimates.size() != owned_boundary_[s].size()) {
-        return Status::Internal(
-            StrFormat("shard %u epoch result has mismatched sizes", s));
-      }
-      for (size_t w = 0; w < nw; ++w) sum[w] += result.weights[w];
-      AbsorbBoundary(s, result.boundary_bits, result.boundary_estimates);
+      for (size_t w = 0; w < nw; ++w) sum[w] += results[s].weights[w];
     }
     // Model averaging (Zinkevich-style parameter mixing). Fixed weights
     // are identical replicas; keep them bit-exact instead of dividing a
@@ -537,54 +526,32 @@ Status Coordinator::RunInference(DistributedResult* result) {
   result->num_accumulated = 0;
 
   for (uint32_t round = 0; round < rounds; ++round) {
-    std::vector<std::string> starts(n);
-    for (uint32_t s = 0; s < n; ++s) {
-      RoundStartMsg start;
-      start.round = round;
-      start.weights = avg_weights_;
-      start.pins = PinsFor(s);
-      starts[s] = EncodeRoundStart(start);
-    }
-    DD_ASSIGN_OR_RETURN(std::vector<std::string> payloads,
-                        RunExchange(kPhaseInfer, round, kMsgRoundStart, starts,
-                                    kMsgRoundResult));
+    DD_ASSIGN_OR_RETURN(std::vector<ExchangeResultMsg> results,
+                        RunExchange(kPhaseInfer, round));
     const bool expect_final = round + 1 == rounds;
     for (uint32_t s = 0; s < n; ++s) {
-      RoundResultMsg rr;
-      DD_ASSIGN_OR_RETURN(rr, DecodeRoundResult(payloads[s]));
-      if (rr.round != round) {
-        return Status::Internal(StrFormat(
-            "shard %u answered round %u during round %u", s, rr.round, round));
-      }
+      const ExchangeResultMsg& rr = results[s];
       if (rr.is_final != expect_final) {
         return Status::Internal(StrFormat(
             "shard %u finished at round %u, the schedule says %u rounds", s,
             round, rounds));
       }
-      if (rr.boundary_bits.size() != owned_boundary_[s].size() ||
-          rr.boundary_estimates.size() != owned_boundary_[s].size()) {
+      if (!expect_final) continue;
+      if (rr.owned_marginals.size() != num_owned_[s]) {
         return Status::Internal(
-            StrFormat("shard %u round result has mismatched sizes", s));
+            StrFormat("shard %u reported %zu marginals for %zu owned variables", s,
+                      rr.owned_marginals.size(), num_owned_[s]));
       }
-      AbsorbBoundary(s, rr.boundary_bits, rr.boundary_estimates);
-      if (expect_final) {
-        if (rr.owned_marginals.size() != num_owned_[s]) {
-          return Status::Internal(
-              StrFormat("shard %u reported %zu marginals for %zu owned "
-                        "variables",
-                        s, rr.owned_marginals.size(), num_owned_[s]));
-        }
-        if (s == 0) {
-          result->num_accumulated = rr.num_accumulated;
-        } else if (rr.num_accumulated != result->num_accumulated) {
-          return Status::Internal(StrFormat(
-              "shard %u accumulated %llu samples, shard 0 accumulated %llu",
-              s, static_cast<unsigned long long>(rr.num_accumulated),
-              static_cast<unsigned long long>(result->num_accumulated)));
-        }
-        for (size_t v = 0; v < num_owned_[s]; ++v) {
-          result->marginals[local_to_global_[s][v]] = rr.owned_marginals[v];
-        }
+      if (s == 0) {
+        result->num_accumulated = rr.num_accumulated;
+      } else if (rr.num_accumulated != result->num_accumulated) {
+        return Status::Internal(StrFormat(
+            "shard %u accumulated %llu samples, shard 0 accumulated %llu",
+            s, static_cast<unsigned long long>(rr.num_accumulated),
+            static_cast<unsigned long long>(result->num_accumulated)));
+      }
+      for (size_t v = 0; v < num_owned_[s]; ++v) {
+        result->marginals[local_to_global_[s][v]] = rr.owned_marginals[v];
       }
     }
     DD_COUNTER_ADD("dd.dist.rounds", 1);

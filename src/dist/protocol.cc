@@ -133,80 +133,48 @@ Result<ReadyMsg> DecodeReady(const std::string& payload) {
   return msg;
 }
 
-std::string EncodeEpochStart(const EpochStartMsg& msg) {
+std::string EncodeExchangeStart(const ExchangeStartMsg& msg) {
   std::string out;
-  PutU32(&out, msg.epoch);
+  PutU32(&out, msg.phase);
+  PutU32(&out, msg.index);
   PutVec(&out, msg.weights);
   PutVec(&out, msg.pins);
   return out;
 }
 
-Result<EpochStartMsg> DecodeEpochStart(const std::string& payload) {
+Result<ExchangeStartMsg> DecodeExchangeStart(const std::string& payload) {
   WireCursor cursor(payload);
-  EpochStartMsg msg;
-  DD_RETURN_IF_ERROR(cursor.ReadU32(&msg.epoch));
+  ExchangeStartMsg msg;
+  DD_RETURN_IF_ERROR(cursor.ReadU32(&msg.phase));
+  DD_RETURN_IF_ERROR(cursor.ReadU32(&msg.index));
   DD_RETURN_IF_ERROR(ReadVec(&cursor, &msg.weights));
   DD_RETURN_IF_ERROR(ReadVec(&cursor, &msg.pins));
   DD_RETURN_IF_ERROR(cursor.ExpectEnd());
   return msg;
 }
 
-std::string EncodeEpochResult(const EpochResultMsg& msg) {
+std::string EncodeExchangeResult(const ExchangeResultMsg& msg) {
   std::string out;
-  PutU32(&out, msg.epoch);
-  PutVec(&out, msg.weights);
+  PutU32(&out, msg.phase);
+  PutU32(&out, msg.index);
   PutVec(&out, msg.boundary_bits);
   PutVec(&out, msg.boundary_estimates);
-  return out;
-}
-
-Result<EpochResultMsg> DecodeEpochResult(const std::string& payload) {
-  WireCursor cursor(payload);
-  EpochResultMsg msg;
-  DD_RETURN_IF_ERROR(cursor.ReadU32(&msg.epoch));
-  DD_RETURN_IF_ERROR(ReadVec(&cursor, &msg.weights));
-  DD_RETURN_IF_ERROR(ReadVec(&cursor, &msg.boundary_bits));
-  DD_RETURN_IF_ERROR(ReadVec(&cursor, &msg.boundary_estimates));
-  DD_RETURN_IF_ERROR(cursor.ExpectEnd());
-  return msg;
-}
-
-std::string EncodeRoundStart(const RoundStartMsg& msg) {
-  std::string out;
-  PutU32(&out, msg.round);
   PutVec(&out, msg.weights);
-  PutVec(&out, msg.pins);
-  return out;
-}
-
-Result<RoundStartMsg> DecodeRoundStart(const std::string& payload) {
-  WireCursor cursor(payload);
-  RoundStartMsg msg;
-  DD_RETURN_IF_ERROR(cursor.ReadU32(&msg.round));
-  DD_RETURN_IF_ERROR(ReadVec(&cursor, &msg.weights));
-  DD_RETURN_IF_ERROR(ReadVec(&cursor, &msg.pins));
-  DD_RETURN_IF_ERROR(cursor.ExpectEnd());
-  return msg;
-}
-
-std::string EncodeRoundResult(const RoundResultMsg& msg) {
-  std::string out;
-  PutU32(&out, msg.round);
   PutBool(&out, msg.is_final);
-  PutVec(&out, msg.boundary_bits);
-  PutVec(&out, msg.boundary_estimates);
   PutVec(&out, msg.owned_marginals);
   PutU64(&out, msg.num_accumulated);
   return out;
 }
 
-Result<RoundResultMsg> DecodeRoundResult(const std::string& payload) {
+Result<ExchangeResultMsg> DecodeExchangeResult(const std::string& payload) {
   WireCursor cursor(payload);
-  RoundResultMsg msg;
-  DD_RETURN_IF_ERROR(cursor.ReadU32(&msg.round));
-  DD_RETURN_IF_ERROR(ReadBool(&cursor, &msg.is_final));
+  ExchangeResultMsg msg;
+  DD_RETURN_IF_ERROR(cursor.ReadU32(&msg.phase));
+  DD_RETURN_IF_ERROR(cursor.ReadU32(&msg.index));
   DD_RETURN_IF_ERROR(ReadVec(&cursor, &msg.boundary_bits));
   DD_RETURN_IF_ERROR(ReadVec(&cursor, &msg.boundary_estimates));
+  DD_RETURN_IF_ERROR(ReadVec(&cursor, &msg.weights));
+  DD_RETURN_IF_ERROR(ReadBool(&cursor, &msg.is_final));
   DD_RETURN_IF_ERROR(ReadVec(&cursor, &msg.owned_marginals));
   DD_RETURN_IF_ERROR(cursor.ReadU64(&msg.num_accumulated));
   DD_RETURN_IF_ERROR(cursor.ExpectEnd());

@@ -13,22 +13,21 @@ namespace dd {
 
 /// Application message types carried in wire frames, in handshake order.
 /// The protocol is strictly epoch-synchronous: the coordinator sends one
-/// *Start per shard per exchange, every shard answers with one *Result,
+/// kMsgExchangeStart per shard per exchange (a learning epoch or an
+/// inference round), every shard answers with one kMsgExchangeResult,
 /// and the coordinator averages before the next exchange begins.
 enum DistMsgType : uint32_t {
-  kMsgHello = 1,        ///< shard -> coord: version + shard id
-  kMsgAssign = 2,       ///< coord -> shard: subgraph + run configuration
-  kMsgReady = 3,        ///< shard -> coord: resume position (+ carried result)
-  kMsgEpochStart = 4,   ///< coord -> shard: averaged weights + ghost pins
-  kMsgEpochResult = 5,  ///< shard -> coord: replica weights + boundary values
-  kMsgRoundStart = 6,   ///< coord -> shard: final weights + ghost pins
-  kMsgRoundResult = 7,  ///< shard -> coord: boundary values (+ final marginals)
-  kMsgFinish = 8,       ///< coord -> shard: run complete, shut down
+  kMsgHello = 1,           ///< shard -> coord: version + shard id
+  kMsgAssign = 2,          ///< coord -> shard: subgraph + run configuration
+  kMsgReady = 3,           ///< shard -> coord: resume position (+ carried result)
+  kMsgExchangeStart = 4,   ///< coord -> shard: averaged weights + ghost pins
+  kMsgExchangeResult = 5,  ///< shard -> coord: boundary values (+ weights / marginals)
+  kMsgFinish = 6,          ///< coord -> shard: run complete, shut down
 };
 
-inline constexpr uint32_t kDistProtocolVersion = 1;
+inline constexpr uint32_t kDistProtocolVersion = 2;
 
-/// Phases a shard reports in kMsgReady.
+/// The two exchange phases (reported in kMsgReady, carried by every exchange).
 enum DistPhase : uint32_t {
   kPhaseLearn = 0,
   kPhaseInfer = 1,
@@ -72,35 +71,29 @@ struct ReadyMsg {
   /// When next > 0, the result of exchange next-1 rides along so a
   /// coordinator whose recv raced the crash still gets it exactly once.
   bool has_result = false;
-  std::string result;  ///< encoded EpochResultMsg / RoundResultMsg
+  std::string result;  ///< encoded ExchangeResultMsg
 };
 
-struct EpochStartMsg {
-  uint32_t epoch = 0;
+/// Opens exchange `index` of `phase` (epoch or round) on one shard.
+struct ExchangeStartMsg {
+  uint32_t phase = kPhaseLearn;
+  uint32_t index = 0;
   std::vector<double> weights;  ///< averaged, one per global weight id
   std::vector<uint8_t> pins;    ///< ghost values, shard's ghost order
 };
 
-struct EpochResultMsg {
-  uint32_t epoch = 0;
-  std::vector<double> weights;  ///< shard replica after its local update
-  std::vector<uint8_t> boundary_bits;       ///< pos-chain values, owned_boundary order
-  std::vector<double> boundary_estimates;   ///< running estimates, same order
-};
-
-struct RoundStartMsg {
-  uint32_t round = 0;
+/// One shard's answer to exchange `index` of `phase`.
+struct ExchangeResultMsg {
+  uint32_t phase = kPhaseLearn;
+  uint32_t index = 0;
+  std::vector<uint8_t> boundary_bits;      ///< chain values, owned_boundary order
+  std::vector<double> boundary_estimates;  ///< running estimates, same order
+  /// Learning only: the shard's replica after its local update.
   std::vector<double> weights;
-  std::vector<uint8_t> pins;
-};
-
-struct RoundResultMsg {
-  uint32_t round = 0;
+  /// Set on the final inference round, which also carries the empirical
+  /// marginals of the shard's owned variables (local order) and the
+  /// sample count behind them.
   bool is_final = false;
-  std::vector<uint8_t> boundary_bits;
-  std::vector<double> boundary_estimates;
-  /// Populated on the final round: empirical marginals of the shard's
-  /// owned variables (local order) and the sample count behind them.
   std::vector<double> owned_marginals;
   uint64_t num_accumulated = 0;
 };
@@ -114,17 +107,11 @@ Result<AssignMsg> DecodeAssign(const std::string& payload);
 std::string EncodeReady(const ReadyMsg& msg);
 Result<ReadyMsg> DecodeReady(const std::string& payload);
 
-std::string EncodeEpochStart(const EpochStartMsg& msg);
-Result<EpochStartMsg> DecodeEpochStart(const std::string& payload);
+std::string EncodeExchangeStart(const ExchangeStartMsg& msg);
+Result<ExchangeStartMsg> DecodeExchangeStart(const std::string& payload);
 
-std::string EncodeEpochResult(const EpochResultMsg& msg);
-Result<EpochResultMsg> DecodeEpochResult(const std::string& payload);
-
-std::string EncodeRoundStart(const RoundStartMsg& msg);
-Result<RoundStartMsg> DecodeRoundStart(const std::string& payload);
-
-std::string EncodeRoundResult(const RoundResultMsg& msg);
-Result<RoundResultMsg> DecodeRoundResult(const std::string& payload);
+std::string EncodeExchangeResult(const ExchangeResultMsg& msg);
+Result<ExchangeResultMsg> DecodeExchangeResult(const std::string& payload);
 
 /// Seed offset decorrelating shard chains; shard 0 keeps the base seed
 /// so a one-shard run is bit-identical to the single-node engines.

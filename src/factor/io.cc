@@ -175,10 +175,6 @@ void AppendU64(std::string* out, uint64_t v) {
   for (int i = 0; i < 8; ++i) out->push_back(static_cast<char>((v >> (8 * i)) & 0xff));
 }
 
-void AppendDouble(std::string* out, double v) {
-  AppendU64(out, std::bit_cast<uint64_t>(v));
-}
-
 /// Bounds-checked sequential reader over a byte buffer. Every extraction
 /// verifies the remaining byte count and reports Status::Corruption with
 /// the offset on truncation — partial structs are never produced.
@@ -234,13 +230,6 @@ class ByteReader {
     DD_RETURN_IF_ERROR(ReadBytes(b, 8, what));
     *out = 0;
     for (int i = 0; i < 8; ++i) *out |= static_cast<uint64_t>(b[i]) << (8 * i);
-    return Status::OK();
-  }
-
-  Status ReadDouble(double* out, const char* what) {
-    uint64_t bits = 0;
-    DD_RETURN_IF_ERROR(ReadU64(&bits, what));
-    *out = std::bit_cast<double>(bits);
     return Status::OK();
   }
 
@@ -456,6 +445,36 @@ Status ExpectConsumed(const ByteReader& r, const char* tag) {
   return Status::OK();
 }
 
+/// WGHT/CNTS/MRGN layout: u64 count, then `count` 8-byte LE words.
+template <typename T>
+std::string EncodeWords(const std::vector<T>& values) {
+  std::string payload;
+  AppendU64(&payload, values.size());
+  for (T v : values) AppendU64(&payload, std::bit_cast<uint64_t>(v));
+  return payload;
+}
+
+template <typename T>
+Status DecodeWords(const SnapshotView& reader, const char* tag, std::vector<T>* out) {
+  if (!reader.Has(tag)) return Status::OK();
+  DD_ASSIGN_OR_RETURN(SectionSpan span, reader.Section(tag));
+  ByteReader r(span.payload);
+  uint64_t count = 0;
+  DD_RETURN_IF_ERROR(r.ReadU64(&count, tag));
+  if (r.remaining() % 8 != 0 || count != r.remaining() / 8) {
+    return Status::Corruption(
+        StrFormat("%s declares %llu values but carries %zu payload bytes", tag,
+                  static_cast<unsigned long long>(count), r.remaining()));
+  }
+  out->resize(static_cast<size_t>(count));
+  for (T& v : *out) {
+    uint64_t bits = 0;
+    DD_RETURN_IF_ERROR(r.ReadU64(&bits, tag));
+    v = std::bit_cast<T>(bits);
+  }
+  return Status::OK();
+}
+
 }  // namespace
 
 std::string EncodeGraphSnapshot(const GraphSnapshot& snapshot) {
@@ -474,22 +493,13 @@ std::string EncodeGraphSnapshot(const GraphSnapshot& snapshot) {
                 WithAlignmentPad(layout.NextPayloadOffset(), std::move(content)));
   };
   if (snapshot.has_graph) {
-    if (snapshot.text_graph) {
-      add_section("GRPH", SerializeGraph(snapshot.graph));
-    } else {
-      StringPoolBuilder pool;
-      std::string grbn;
-      EncodeBinaryGraph(snapshot.graph, &pool, &grbn);
-      add_aligned("GRBN", std::move(grbn));
-      add_aligned("DICT", pool.EncodeContent());
-    }
+    StringPoolBuilder pool;
+    std::string grbn;
+    EncodeBinaryGraph(snapshot.graph, &pool, &grbn);
+    add_aligned("GRBN", std::move(grbn));
+    add_aligned("DICT", pool.EncodeContent());
   }
-  if (!snapshot.weights.empty()) {
-    std::string payload;
-    AppendU64(&payload, snapshot.weights.size());
-    for (double w : snapshot.weights) AppendDouble(&payload, w);
-    add_section("WGHT", std::move(payload));
-  }
+  if (!snapshot.weights.empty()) add_section("WGHT", EncodeWords(snapshot.weights));
   if (!snapshot.chains.empty()) {
     std::string payload;
     AppendU64(&payload, snapshot.chains.size());
@@ -499,17 +509,9 @@ std::string EncodeGraphSnapshot(const GraphSnapshot& snapshot) {
     }
     add_section("CHNS", std::move(payload));
   }
-  if (!snapshot.counts.empty()) {
-    std::string payload;
-    AppendU64(&payload, snapshot.counts.size());
-    for (uint64_t c : snapshot.counts) AppendU64(&payload, c);
-    add_section("CNTS", std::move(payload));
-  }
+  if (!snapshot.counts.empty()) add_section("CNTS", EncodeWords(snapshot.counts));
   if (!snapshot.marginals.empty()) {
-    std::string payload;
-    AppendU64(&payload, snapshot.marginals.size());
-    for (double m : snapshot.marginals) AppendDouble(&payload, m);
-    add_section("MRGN", std::move(payload));
+    add_section("MRGN", EncodeWords(snapshot.marginals));
   }
   if (!snapshot.rng_states.empty()) {
     std::string payload;
@@ -556,34 +558,8 @@ Result<GraphSnapshot> DecodeGraphSnapshot(const std::string& bytes) {
                         ParseBinaryGraph(grbn_content, pool));
     DD_ASSIGN_OR_RETURN(snap.graph, GraphFromBinary(view, pool));
     snap.has_graph = true;
-    snap.text_graph = false;
-  } else if (reader.Has("GRPH")) {
-    DD_ASSIGN_OR_RETURN(SectionSpan span, reader.Section("GRPH"));
-    Result<FactorGraph> graph = DeserializeGraph(std::string(span.payload));
-    if (!graph.ok()) {
-      // The payload passed its CRC, so a parse failure means the bytes
-      // were written wrong, not flipped — still corruption to a caller.
-      return Status::Corruption("GRPH section unparsable: " +
-                                graph.status().ToString());
-    }
-    snap.graph = std::move(*graph);
-    snap.has_graph = true;
-    snap.text_graph = true;
   }
-  if (reader.Has("WGHT")) {
-    DD_ASSIGN_OR_RETURN(SectionSpan span, reader.Section("WGHT"));
-    ByteReader r(span.payload);
-    uint64_t count = 0;
-    DD_RETURN_IF_ERROR(r.ReadU64(&count, "WGHT count"));
-    if (r.remaining() % 8 != 0 || count != r.remaining() / 8) {
-      return Status::Corruption(StrFormat(
-          "WGHT declares %llu weights but carries %zu payload bytes",
-          static_cast<unsigned long long>(count), r.remaining()));
-    }
-    snap.weights.resize(static_cast<size_t>(count));
-    for (double& w : snap.weights) DD_RETURN_IF_ERROR(r.ReadDouble(&w, "weight"));
-    DD_RETURN_IF_ERROR(ExpectConsumed(r, "WGHT"));
-  }
+  DD_RETURN_IF_ERROR(DecodeWords(reader, "WGHT", &snap.weights));
   if (reader.Has("CHNS")) {
     DD_ASSIGN_OR_RETURN(SectionSpan span, reader.Section("CHNS"));
     ByteReader r(span.payload);
@@ -613,36 +589,8 @@ Result<GraphSnapshot> DecodeGraphSnapshot(const std::string& bytes) {
     }
     DD_RETURN_IF_ERROR(ExpectConsumed(r, "CHNS"));
   }
-  if (reader.Has("CNTS")) {
-    DD_ASSIGN_OR_RETURN(SectionSpan span, reader.Section("CNTS"));
-    ByteReader r(span.payload);
-    uint64_t count = 0;
-    DD_RETURN_IF_ERROR(r.ReadU64(&count, "CNTS count"));
-    if (r.remaining() % 8 != 0 || count != r.remaining() / 8) {
-      return Status::Corruption(StrFormat(
-          "CNTS declares %llu tallies but carries %zu payload bytes",
-          static_cast<unsigned long long>(count), r.remaining()));
-    }
-    snap.counts.resize(static_cast<size_t>(count));
-    for (uint64_t& c : snap.counts) DD_RETURN_IF_ERROR(r.ReadU64(&c, "tally"));
-    DD_RETURN_IF_ERROR(ExpectConsumed(r, "CNTS"));
-  }
-  if (reader.Has("MRGN")) {
-    DD_ASSIGN_OR_RETURN(SectionSpan span, reader.Section("MRGN"));
-    ByteReader r(span.payload);
-    uint64_t count = 0;
-    DD_RETURN_IF_ERROR(r.ReadU64(&count, "MRGN count"));
-    if (r.remaining() % 8 != 0 || count != r.remaining() / 8) {
-      return Status::Corruption(StrFormat(
-          "MRGN declares %llu marginals but carries %zu payload bytes",
-          static_cast<unsigned long long>(count), r.remaining()));
-    }
-    snap.marginals.resize(static_cast<size_t>(count));
-    for (double& m : snap.marginals) {
-      DD_RETURN_IF_ERROR(r.ReadDouble(&m, "marginal"));
-    }
-    DD_RETURN_IF_ERROR(ExpectConsumed(r, "MRGN"));
-  }
+  DD_RETURN_IF_ERROR(DecodeWords(reader, "CNTS", &snap.counts));
+  DD_RETURN_IF_ERROR(DecodeWords(reader, "MRGN", &snap.marginals));
   if (reader.Has("RNGS")) {
     DD_ASSIGN_OR_RETURN(SectionSpan span, reader.Section("RNGS"));
     ByteReader r(span.payload);
@@ -662,16 +610,22 @@ Result<GraphSnapshot> DecodeGraphSnapshot(const std::string& bytes) {
   }
   if (reader.Has("META")) {
     DD_ASSIGN_OR_RETURN(SectionSpan span, reader.Section("META"));
-    for (const std::string& line : Split(std::string(span.payload), '\n')) {
-      if (line.empty()) continue;
-      size_t eq = line.find('=');
-      if (eq == std::string::npos) {
-        return Status::Corruption("META line without '=': " + line);
-      }
-      snap.meta[line.substr(0, eq)] = line.substr(eq + 1);
-    }
+    DD_ASSIGN_OR_RETURN(snap.meta, ParseMeta(span.payload));
   }
   return snap;
+}
+
+Result<std::map<std::string, std::string>> ParseMeta(std::string_view payload) {
+  std::map<std::string, std::string> meta;
+  for (const std::string& line : Split(payload, '\n')) {
+    if (line.empty()) continue;
+    size_t eq = line.find('=');
+    if (eq == std::string::npos) {
+      return Status::Corruption("META line without '=': " + line);
+    }
+    meta[line.substr(0, eq)] = line.substr(eq + 1);
+  }
+  return meta;
 }
 
 Status WriteGraphSnapshot(const GraphSnapshot& snapshot, const std::string& path) {
@@ -692,6 +646,70 @@ Result<double> ParseExactDouble(const std::string& s) {
     return Status::Corruption("not a hex-float value: " + s);
   }
   return v;
+}
+
+Result<uint64_t> MetaU64(const std::map<std::string, std::string>& meta,
+                         const std::string& key) {
+  auto it = meta.find(key);
+  if (it == meta.end()) {
+    return Status::Corruption("META missing key '" + key + "'");
+  }
+  if (it->second.empty() || !IsAllDigits(it->second)) {
+    return Status::Corruption("META key '" + key + "' is not a number: " +
+                              it->second);
+  }
+  errno = 0;
+  uint64_t v = std::strtoull(it->second.c_str(), nullptr, 10);
+  if (errno != 0) {
+    return Status::Corruption("META key '" + key + "' out of range: " +
+                              it->second);
+  }
+  return v;
+}
+
+Result<double> MetaExactDouble(const std::map<std::string, std::string>& meta,
+                               const std::string& key) {
+  auto it = meta.find(key);
+  if (it == meta.end()) {
+    return Status::Corruption("META missing key '" + key + "'");
+  }
+  return ParseExactDouble(it->second);
+}
+
+void StampCheckpoint(const std::string& kind, const CheckpointIdentity& identity,
+                     GraphSnapshot* snap) {
+  snap->meta["kind"] = kind;
+  for (const auto& [key, value] : identity) snap->meta[key] = std::to_string(value);
+}
+
+Status CheckCheckpoint(const GraphSnapshot& snap, const std::string& kind,
+                       const CheckpointIdentity& identity) {
+  auto it = snap.meta.find("kind");
+  if (it == snap.meta.end() || it->second != kind) {
+    return Status::InvalidArgument(StrFormat(
+        "snapshot is not a %s checkpoint (kind=%s)", kind.c_str(),
+        it == snap.meta.end() ? "<absent>" : it->second.c_str()));
+  }
+  for (const auto& [key, expected] : identity) {
+    DD_ASSIGN_OR_RETURN(uint64_t stored, MetaU64(snap.meta, key));
+    if (stored != expected) {
+      return Status::InvalidArgument(StrFormat(
+          "%s checkpoint was written with a different %s (%llu, expected %llu)",
+          kind.c_str(), key.c_str(), static_cast<unsigned long long>(stored),
+          static_cast<unsigned long long>(expected)));
+    }
+  }
+  return Status::OK();
+}
+
+Status RestoreWeights(const GraphSnapshot& snap, FactorGraph* graph) {
+  if (snap.weights.size() != graph->num_weights()) {
+    return Status::InvalidArgument(
+        StrFormat("checkpoint has %zu weights, graph has %zu", snap.weights.size(),
+                  graph->num_weights()));
+  }
+  graph->set_weight_values(snap.weights);
+  return Status::OK();
 }
 
 bool FileExists(const std::string& path) {

@@ -38,7 +38,7 @@ Result<FactorGraph> DeserializeGraph(const std::string& text);
 ///   magic   "DDSN"             4 bytes
 ///   version u32                (currently 1)
 ///   repeated sections:
-///     tag          4 ASCII bytes  (e.g. "GRPH")
+///     tag          4 ASCII bytes  (e.g. "GRBN")
 ///     payload_len  u64
 ///     payload      payload_len bytes
 ///     crc32c       u32            over tag + payload_len + payload
@@ -121,8 +121,6 @@ class SnapshotReader {
 ///   GRBN  factor graph, binary columnar format (default; 8-byte-aligned
 ///         arrays readable in place — see storage/snapshot.h)
 ///   DICT  string pool for GRBN weight descriptions
-///   GRPH  factor graph (text format above; the debugging oracle —
-///         written when text_graph is set, always readable)
 ///   WGHT  dense weight vector (overrides the graph's weights)
 ///   CHNS  per-chain variable assignments (one byte per variable)
 ///   CNTS  per-variable marginal tallies (u64)
@@ -131,10 +129,6 @@ class SnapshotReader {
 ///   META  key=value lines (epoch counters, seeds, learning rate, ...)
 struct GraphSnapshot {
   bool has_graph = false;
-  /// Encode the graph as the line-oriented ddfg text (GRPH) instead of
-  /// the binary GRBN+DICT sections. Decode sets this to whichever form
-  /// the file carried, so decode→encode round-trips are byte-exact.
-  bool text_graph = false;
   FactorGraph graph;
   std::vector<double> weights;
   std::vector<std::vector<uint8_t>> chains;
@@ -156,6 +150,46 @@ Result<GraphSnapshot> ReadGraphSnapshot(const std::string& path);
 /// hex float formatting.
 std::string FormatExactDouble(double v);
 Result<double> ParseExactDouble(const std::string& s);
+
+/// ---- Chain-state checkpoints --------------------------------------------
+///
+/// The learner (`learn.snap`), the sampling materialization (`infer.snap`)
+/// and every shard worker save chains through one layout: CHNS/RNGS (one
+/// entry per chain), CNTS + META "num_accumulated" for a tallying chain
+/// (GibbsSampler's SaveChains/RestoreChains), WGHT, and decimal META
+/// counters. META "kind" names the checkpoint; its identity keys (seeds,
+/// schedule, graph fingerprint) must match for a resume to continue the
+/// same chain.
+
+/// The META section's `key=value` lines; a line without '=' is Corruption.
+Result<std::map<std::string, std::string>> ParseMeta(std::string_view payload);
+
+/// The one strict reader of a decimal META value (checkpoints, run and
+/// epoch manifests, serving epochs): a missing key, an empty or non-digit
+/// value, or one past u64 is Corruption.
+Result<uint64_t> MetaU64(const std::map<std::string, std::string>& meta,
+                         const std::string& key);
+
+/// A FormatExactDouble META value; missing or unparsable is Corruption.
+Result<double> MetaExactDouble(const std::map<std::string, std::string>& meta,
+                               const std::string& key);
+
+/// Numeric identity keys of a checkpoint, in the order they are checked.
+using CheckpointIdentity = std::vector<std::pair<std::string, uint64_t>>;
+
+/// Stamp META "kind" and every identity key (decimal) into `snap`.
+void StampCheckpoint(const std::string& kind, const CheckpointIdentity& identity,
+                     GraphSnapshot* snap);
+
+/// The resume check: a META "kind" other than `kind` (or none), or an
+/// identity key holding another value, is InvalidArgument naming it; a
+/// missing or non-numeric identity key is Corruption.
+Status CheckCheckpoint(const GraphSnapshot& snap, const std::string& kind,
+                       const CheckpointIdentity& identity);
+
+/// Install snap.weights into `graph`; a count other than the graph's
+/// is InvalidArgument.
+Status RestoreWeights(const GraphSnapshot& snap, FactorGraph* graph);
 
 /// stat()-based existence check (shared by checkpoint/recovery code).
 bool FileExists(const std::string& path);

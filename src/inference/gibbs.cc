@@ -2,6 +2,8 @@
 
 #include <cmath>
 
+#include "factor/io.h"
+#include "util/failpoint.h"
 #include "util/metrics.h"
 #include "util/string_util.h"
 #include "util/timer.h"
@@ -118,21 +120,27 @@ void GibbsSampler::Accumulate() {
   ++num_accumulated_;
 }
 
+Status GibbsSampler::RunSweeps(uint64_t from, uint64_t to) {
+  for (uint64_t s = from; s < to; ++s) {
+    Status injected;
+    DD_FAILPOINT(failpoints::kInferenceSweep, &injected);
+    DD_RETURN_IF_ERROR(injected);
+    Sweep();
+    if (s >= static_cast<uint64_t>(options_.burn_in)) Accumulate();
+  }
+  return Status::OK();
+}
+
 Result<std::vector<double>> GibbsSampler::RunMarginals() {
   if (!initialized_) DD_RETURN_IF_ERROR(Init());
   DD_TRACE_SPAN_VAR(span, "gibbs.run_marginals");
   Stopwatch watch;
   const uint64_t steps_before = num_steps_;
-  for (int i = 0; i < options_.burn_in; ++i) Sweep();
-  for (int i = 0; i < options_.num_samples; ++i) {
-    Sweep();
-    Accumulate();
-  }
+  const uint64_t sweeps = total_sweeps();
+  DD_RETURN_IF_ERROR(RunSweeps(0, sweeps));
   // Throughput accounting happens once per run, not per step — the sweep
   // loop itself stays untouched (see BENCH_kernels.json's ns/delta).
   const uint64_t steps = num_steps_ - steps_before;
-  const uint64_t sweeps =
-      static_cast<uint64_t>(options_.burn_in) + options_.num_samples;
   DD_COUNTER_ADD("dd.sampler.sweeps", sweeps);
   DD_COUNTER_ADD("dd.sampler.deltas", steps);
   const double seconds = watch.Seconds();
@@ -156,6 +164,38 @@ Result<std::vector<double>> GibbsSampler::Marginals() const {
     out[v] = static_cast<double>(true_counts_[v]) / num_accumulated_;
   }
   return out;
+}
+
+void SaveChains(const std::vector<const GibbsSampler*>& chains, bool tallies,
+                GraphSnapshot* snap) {
+  for (const GibbsSampler* chain : chains) {
+    snap->chains.push_back(chain->assignment());
+    snap->rng_states.push_back(chain->rng_state());
+  }
+  if (tallies) {
+    snap->counts = chains.back()->true_counts();
+    snap->meta["num_accumulated"] = std::to_string(chains.back()->num_accumulated());
+  }
+}
+
+Status RestoreChains(const GraphSnapshot& snap, bool tallies,
+                     const std::vector<GibbsSampler*>& chains) {
+  if (snap.chains.size() != chains.size() || snap.rng_states.size() != chains.size()) {
+    return Status::InvalidArgument(StrFormat(
+        "checkpoint carries %zu chains and %zu RNG states, expected %zu",
+        snap.chains.size(), snap.rng_states.size(), chains.size()));
+  }
+  uint64_t num_accumulated = 0;
+  if (tallies) {
+    DD_ASSIGN_OR_RETURN(num_accumulated, MetaU64(snap.meta, "num_accumulated"));
+  }
+  for (size_t i = 0; i < chains.size(); ++i) {
+    const bool last = tallies && i + 1 == chains.size();
+    DD_RETURN_IF_ERROR(chains[i]->RestoreState(
+        snap.chains[i], last ? snap.counts : std::vector<uint64_t>{},
+        last ? num_accumulated : 0, snap.rng_states[i]));
+  }
+  return Status::OK();
 }
 
 }  // namespace dd

@@ -10,6 +10,8 @@
 
 namespace dd {
 
+struct GraphSnapshot;
+
 /// sigmoid(x) = 1 / (1 + e^-x), the Gibbs conditional for Boolean
 /// variables under log-linear factors.
 double Sigmoid(double x);
@@ -54,7 +56,9 @@ struct GibbsOptions {
 };
 
 /// Sequential Gibbs sampler over a finalized FactorGraph. One "sweep"
-/// resamples every free variable once (scan order). Marginals are
+/// resamples every free variable once (scan order). The schedule is
+/// sweeps 0 .. burn_in + num_samples - 1, and sweep s is counted
+/// (followed by Accumulate) when s >= burn_in. Marginals are
 /// empirical frequencies over the counted sweeps — exactly the
 /// probabilities DeepDive writes back into the database (§3.4).
 class GibbsSampler {
@@ -71,8 +75,19 @@ class GibbsSampler {
   /// Record the current assignment into the marginal accumulators.
   void Accumulate();
 
-  /// burn_in sweeps, then num_samples sweeps with accumulation; returns
-  /// the estimated P(v = 1) for every variable.
+  /// Sweeps [from, to) of the schedule, each preceded by the
+  /// inference.sweep failpoint (an injected fault stops the run there).
+  /// Every sampling loop — RunMarginals, the sampling materialization
+  /// and its updates, the shard worker's rounds — runs through this.
+  Status RunSweeps(uint64_t from, uint64_t to);
+
+  /// burn_in + num_samples, the schedule's length.
+  uint64_t total_sweeps() const {
+    return static_cast<uint64_t>(options_.burn_in) + options_.num_samples;
+  }
+
+  /// The whole schedule (Init first if needed); returns the estimated
+  /// P(v = 1) for every variable.
   Result<std::vector<double>> RunMarginals();
 
   /// Current chain state (one byte per variable).
@@ -83,7 +98,6 @@ class GibbsSampler {
   /// assignment and accumulator state fully determine the chain's
   /// future, so restoring them resumes the chain bit-identically.
   RngState rng_state() const { return rng_.state(); }
-  void set_rng_state(const RngState& state) { rng_.set_state(state); }
   const std::vector<uint64_t>& true_counts() const { return true_counts_; }
 
   /// Restore a checkpointed chain: replaces Init(). `true_counts` may be
@@ -112,6 +126,19 @@ class GibbsSampler {
   uint64_t num_steps_ = 0;
   bool initialized_ = false;
 };
+
+/// The chain half of the checkpoint codec (factor/io.h): appends each
+/// chain's assignment and RNG state to CHNS/RNGS, in order; with
+/// `tallies`, the last chain's tallies go to CNTS and its sample count
+/// to META "num_accumulated".
+void SaveChains(const std::vector<const GibbsSampler*>& chains, bool tallies,
+                GraphSnapshot* snap);
+
+/// The inverse, through RestoreState: `snap` must carry exactly one
+/// chain and RNG state per sampler (else InvalidArgument); with
+/// `tallies` the last sampler gets CNTS and "num_accumulated".
+Status RestoreChains(const GraphSnapshot& snap, bool tallies,
+                     const std::vector<GibbsSampler*>& chains);
 
 }  // namespace dd
 

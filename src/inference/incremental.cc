@@ -2,12 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 
 #include "factor/io.h"
 #include "inference/gibbs.h"
 #include "inference/meanfield.h"
-#include "util/failpoint.h"
 #include "util/metrics.h"
 #include "util/rng.h"
 #include "util/string_util.h"
@@ -18,6 +16,13 @@ namespace dd {
 namespace {
 constexpr char kSamplingKind[] = "inference-sampling";
 constexpr char kVariationalKind[] = "inference-variational";
+// A sampling checkpoint continues only the same chain: same seed, same
+// schedule (a resume under another one would mix two schedules' tallies).
+CheckpointIdentity SamplingIdentity(const IncrementalOptions& options) {
+  return {{"seed", options.seed},
+          {"full_burn_in", static_cast<uint64_t>(options.full_burn_in)},
+          {"num_samples", static_cast<uint64_t>(options.num_samples)}};
+}
 // Weight values by description (ids change on every rebuild); one shared
 // by different values maps to NaN, so its factors always count as moved.
 std::unordered_map<std::string, double> WeightValues(const FactorGraph& graph) {
@@ -75,60 +80,28 @@ Status IncrementalInference::Materialize() {
 }
 
 Status IncrementalInference::WriteSamplingCheckpoint(const GibbsSampler& sampler,
-                                                     int sweeps_done) const {
+                                                     uint64_t sweeps_done) const {
   GraphSnapshot snap;
-  snap.chains = {sampler.assignment()};
-  snap.counts = sampler.true_counts();
-  snap.rng_states = {sampler.rng_state()};
-  snap.meta["kind"] = kSamplingKind;
-  snap.meta["sweeps"] = StrFormat("%d", sweeps_done);
-  snap.meta["num_accumulated"] =
-      StrFormat("%llu", static_cast<unsigned long long>(sampler.num_accumulated()));
-  snap.meta["seed"] =
-      StrFormat("%llu", static_cast<unsigned long long>(options_.seed));
+  StampCheckpoint(kSamplingKind, SamplingIdentity(options_), &snap);
+  SaveChains({&sampler}, true, &snap);
+  snap.meta["sweeps"] = std::to_string(sweeps_done);
   return WriteGraphSnapshot(snap, options_.checkpoint_path);
 }
 
 Status IncrementalInference::TryRestoreSampling(GibbsSampler* sampler,
-                                                int* sweeps_done) {
+                                                uint64_t* sweeps_done) {
   *sweeps_done = 0;
-  if (options_.checkpoint_path.empty()) {
-    prewarmed_.reset();
-    return Status::OK();
-  }
-  GraphSnapshot snap;
-  if (prewarmed_ != nullptr) {
-    // Consume the snapshot Prewarm() already read off disk.
-    snap = std::move(*prewarmed_);
-    prewarmed_.reset();
-  } else {
+  // Consume the snapshot Prewarm() already read off disk, if any.
+  std::unique_ptr<GraphSnapshot> snap = std::move(prewarmed_);
+  if (options_.checkpoint_path.empty()) return Status::OK();
+  if (snap == nullptr) {
     if (!FileExists(options_.checkpoint_path)) return Status::OK();
-    DD_ASSIGN_OR_RETURN(snap, ReadGraphSnapshot(options_.checkpoint_path));
+    DD_ASSIGN_OR_RETURN(GraphSnapshot read, ReadGraphSnapshot(options_.checkpoint_path));
+    snap = std::make_unique<GraphSnapshot>(std::move(read));
   }
-  auto kind = snap.meta.find("kind");
-  if (kind == snap.meta.end() || kind->second != kSamplingKind) {
-    return Status::InvalidArgument(
-        "checkpoint is not a sampling-materialization snapshot: " +
-        options_.checkpoint_path);
-  }
-  auto seed = snap.meta.find("seed");
-  if (seed == snap.meta.end() ||
-      std::strtoull(seed->second.c_str(), nullptr, 10) != options_.seed) {
-    return Status::InvalidArgument(
-        "sampling checkpoint was written with a different seed");
-  }
-  auto sweeps = snap.meta.find("sweeps");
-  auto accumulated = snap.meta.find("num_accumulated");
-  if (sweeps == snap.meta.end() || accumulated == snap.meta.end() ||
-      snap.chains.size() != 1 || snap.rng_states.size() != 1) {
-    return Status::InvalidArgument("sampling checkpoint missing chain state");
-  }
-  DD_RETURN_IF_ERROR(sampler->RestoreState(
-      snap.chains[0], snap.counts,
-      std::strtoull(accumulated->second.c_str(), nullptr, 10),
-      snap.rng_states[0]));
-  *sweeps_done = std::atoi(sweeps->second.c_str());
-  return Status::OK();
+  DD_RETURN_IF_ERROR(CheckCheckpoint(*snap, kSamplingKind, SamplingIdentity(options_)));
+  DD_ASSIGN_OR_RETURN(*sweeps_done, MetaU64(snap->meta, "sweeps"));
+  return RestoreChains(*snap, true, {sampler});
 }
 
 Status IncrementalInference::MaterializeSampling() {
@@ -141,33 +114,28 @@ Status IncrementalInference::MaterializeSampling() {
   GibbsSampler sampler(graph_, opts);
   DD_RETURN_IF_ERROR(sampler.Init());
 
-  // Same sweep schedule as GibbsSampler::RunMarginals, but driven here
-  // so the loop can checkpoint and resume mid-stream.
-  const int total_sweeps = options_.full_burn_in + options_.num_samples;
-  int done = 0;
+  // The sampler's schedule, run one checkpoint interval at a time so a
+  // killed run resumes mid-stream.
+  const uint64_t total_sweeps = sampler.total_sweeps();
+  uint64_t done = 0;
   DD_RETURN_IF_ERROR(TryRestoreSampling(&sampler, &done));
   const bool durable = !options_.checkpoint_path.empty();
-  const int resumed_at = done;
-  for (; done < total_sweeps; ++done) {
-    Status injected;
-    DD_FAILPOINT(failpoints::kInferenceSweep, &injected);
-    if (!injected.ok()) return injected;
-
-    sampler.Sweep();
-    if (done >= options_.full_burn_in) sampler.Accumulate();
-    if (durable && options_.checkpoint_interval > 0 &&
-        (done + 1) % options_.checkpoint_interval == 0 &&
-        done + 1 < total_sweeps) {
-      DD_RETURN_IF_ERROR(WriteSamplingCheckpoint(sampler, done + 1));
-    }
+  const uint64_t interval = durable && options_.checkpoint_interval > 0
+                                ? options_.checkpoint_interval
+                                : total_sweeps;
+  const uint64_t resumed_at = done;
+  while (done < total_sweeps) {
+    const uint64_t next = std::min(total_sweeps, (done / interval + 1) * interval);
+    DD_RETURN_IF_ERROR(sampler.RunSweeps(done, next));
+    done = next;
+    if (done < total_sweeps) DD_RETURN_IF_ERROR(WriteSamplingCheckpoint(sampler, done));
   }
   DD_ASSIGN_OR_RETURN(marginals_, sampler.Marginals());
   chain_state_ = sampler.assignment();
   last_work_units_ = sampler.num_steps();
   sampled_weights_ = WeightValues(*graph_);
   if (durable) DD_RETURN_IF_ERROR(WriteSamplingCheckpoint(sampler, total_sweeps));
-  DD_COUNTER_ADD("dd.inference.sweeps",
-                 static_cast<uint64_t>(total_sweeps - resumed_at));
+  DD_COUNTER_ADD("dd.inference.sweeps", total_sweeps - resumed_at);
   DD_COUNTER_ADD("dd.inference.work_units", last_work_units_);
   span.Attr("sweeps", static_cast<double>(total_sweeps - resumed_at));
   span.Attr("resumed_at", static_cast<double>(resumed_at));
@@ -181,16 +149,15 @@ Status IncrementalInference::MaterializeVariational() {
   if (!options_.checkpoint_path.empty() && FileExists(options_.checkpoint_path)) {
     DD_ASSIGN_OR_RETURN(GraphSnapshot snap,
                         ReadGraphSnapshot(options_.checkpoint_path));
-    auto kind = snap.meta.find("kind");
-    if (kind != snap.meta.end() && kind->second == kVariationalKind &&
-        snap.marginals.size() == graph_->num_variables()) {
-      marginals_ = std::move(snap.marginals);
-      last_work_units_ = 0;
-      return Status::OK();
+    DD_RETURN_IF_ERROR(CheckCheckpoint(snap, kVariationalKind, {}));
+    if (snap.marginals.size() != graph_->num_variables()) {
+      return Status::InvalidArgument(StrFormat(
+          "variational checkpoint has %zu marginals, graph has %zu",
+          snap.marginals.size(), graph_->num_variables()));
     }
-    return Status::InvalidArgument(
-        "checkpoint is not a variational-materialization snapshot: " +
-        options_.checkpoint_path);
+    marginals_ = std::move(snap.marginals);
+    last_work_units_ = 0;
+    return Status::OK();
   }
   MeanFieldOptions opts;
   opts.max_iterations = options_.mf_max_iterations;
@@ -202,8 +169,8 @@ Status IncrementalInference::MaterializeVariational() {
   last_work_units_ = engine.updates_performed();
   if (!options_.checkpoint_path.empty()) {
     GraphSnapshot snap;
+    StampCheckpoint(kVariationalKind, {}, &snap);
     snap.marginals = marginals_;
-    snap.meta["kind"] = kVariationalKind;
     DD_RETURN_IF_ERROR(WriteGraphSnapshot(snap, options_.checkpoint_path));
   }
   return Status::OK();
@@ -270,8 +237,8 @@ Result<std::vector<double>> IncrementalInference::Update(
     // full one — the stored state is already near the stationary
     // distribution everywhere the graph did not change.
     GibbsOptions opts;
-    opts.burn_in = 0;  // manual control below
-    opts.num_samples = 0;
+    opts.burn_in = options_.update_burn_in;
+    opts.num_samples = options_.num_samples;
     opts.seed = options_.seed + 1;
     opts.clamp_evidence = options_.clamp_evidence;
     opts.free_set = &scope;
@@ -296,11 +263,7 @@ Result<std::vector<double>> IncrementalInference::Update(
     DD_COUNTER_ADD("dd.inference.vars_recomputed", recomputed);
     span.Attr("vars_reused", static_cast<double>(reused));
     span.Attr("vars_recomputed", static_cast<double>(recomputed));
-    for (int i = 0; i < options_.update_burn_in; ++i) sampler.Sweep();
-    for (int i = 0; i < options_.num_samples; ++i) {
-      sampler.Sweep();
-      sampler.Accumulate();
-    }
+    DD_RETURN_IF_ERROR(sampler.RunSweeps(0, sampler.total_sweeps()));
     DD_ASSIGN_OR_RETURN(std::vector<double> drawn, sampler.Marginals());
     marginals_.resize(nv);
     for (uint32_t v = 0; v < nv; ++v) marginals_[v] = touched[v] ? drawn[v] : marginals_[v];

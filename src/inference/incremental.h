@@ -92,9 +92,9 @@ class IncrementalInference {
   Status MaterializeVariational();
   /// Attempt to restore from options_.checkpoint_path; outputs the number
   /// of sweeps already performed (0 when starting fresh).
-  Status TryRestoreSampling(class GibbsSampler* sampler, int* sweeps_done);
+  Status TryRestoreSampling(class GibbsSampler* sampler, uint64_t* sweeps_done);
   Status WriteSamplingCheckpoint(const class GibbsSampler& sampler,
-                                 int sweeps_done) const;
+                                 uint64_t sweeps_done) const;
 
   const FactorGraph* graph_;
   MaterializationStrategy strategy_;

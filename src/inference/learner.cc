@@ -1,7 +1,6 @@
 #include "inference/learner.h"
 
 #include <cmath>
-#include <cstdlib>
 
 #include "factor/io.h"
 #include "inference/gibbs.h"
@@ -25,13 +24,11 @@ std::string CheckpointPath(const LearnOptions& options) {
 Status WriteLearnerCheckpoint(const LearnOptions& options, const FactorGraph& graph,
                               const CdChains& chains, int next_epoch, double lr) {
   GraphSnapshot snap;
+  StampCheckpoint(kSnapshotKind, {{"seed", options.seed}}, &snap);
   snap.weights = graph.weight_values();
-  snap.chains = {chains.positive.assignment(), chains.negative.assignment()};
-  snap.rng_states = {chains.positive.rng_state(), chains.negative.rng_state()};
-  snap.meta["kind"] = kSnapshotKind;
-  snap.meta["epoch"] = StrFormat("%d", next_epoch);
+  SaveChains({&chains.positive, &chains.negative}, false, &snap);
+  snap.meta["epoch"] = std::to_string(next_epoch);
   snap.meta["lr"] = FormatExactDouble(lr);
-  snap.meta["seed"] = StrFormat("%llu", static_cast<unsigned long long>(options.seed));
   return WriteGraphSnapshot(snap, CheckpointPath(options));
 }
 
@@ -41,37 +38,12 @@ Status RestoreLearnerCheckpoint(const LearnOptions& options, FactorGraph* graph,
                                 CdChains* chains, int* start_epoch, double* lr) {
   DD_ASSIGN_OR_RETURN(GraphSnapshot snap,
                       ReadGraphSnapshot(CheckpointPath(options)));
-  auto kind = snap.meta.find("kind");
-  if (kind == snap.meta.end() || kind->second != kSnapshotKind) {
-    return Status::InvalidArgument("snapshot is not a learner checkpoint");
-  }
-  auto seed = snap.meta.find("seed");
-  if (seed == snap.meta.end() ||
-      std::strtoull(seed->second.c_str(), nullptr, 10) != options.seed) {
-    return Status::InvalidArgument(
-        "learner checkpoint was written with a different seed");
-  }
-  if (snap.weights.size() != graph->num_weights()) {
-    return Status::InvalidArgument(
-        StrFormat("learner checkpoint has %zu weights, graph has %zu",
-                  snap.weights.size(), graph->num_weights()));
-  }
-  if (snap.chains.size() != 2 || snap.rng_states.size() != 2) {
-    return Status::InvalidArgument(
-        "learner checkpoint must carry exactly two chains and RNG states");
-  }
-  auto epoch = snap.meta.find("epoch");
-  auto lr_meta = snap.meta.find("lr");
-  if (epoch == snap.meta.end() || lr_meta == snap.meta.end()) {
-    return Status::InvalidArgument("learner checkpoint missing epoch/lr metadata");
-  }
-  graph->set_weight_values(snap.weights);
-  DD_RETURN_IF_ERROR(
-      chains->positive.RestoreState(snap.chains[0], {}, 0, snap.rng_states[0]));
-  DD_RETURN_IF_ERROR(
-      chains->negative.RestoreState(snap.chains[1], {}, 0, snap.rng_states[1]));
-  *start_epoch = std::atoi(epoch->second.c_str());
-  DD_ASSIGN_OR_RETURN(*lr, ParseExactDouble(lr_meta->second));
+  DD_RETURN_IF_ERROR(CheckCheckpoint(snap, kSnapshotKind, {{"seed", options.seed}}));
+  DD_ASSIGN_OR_RETURN(uint64_t epoch, MetaU64(snap.meta, "epoch"));
+  DD_ASSIGN_OR_RETURN(*lr, MetaExactDouble(snap.meta, "lr"));
+  DD_RETURN_IF_ERROR(RestoreWeights(snap, graph));
+  DD_RETURN_IF_ERROR(RestoreChains(snap, false, {&chains->positive, &chains->negative}));
+  *start_epoch = static_cast<int>(epoch);
   return Status::OK();
 }
 

@@ -5,7 +5,6 @@
 
 #include <cerrno>
 #include <cmath>
-#include <cstdlib>
 #include <cstring>
 
 #include "factor/io.h"
@@ -71,41 +70,6 @@ class Cursor {
   std::string_view content_;
   size_t pos_ = 0;
 };
-
-Result<std::map<std::string, std::string>> ParseMetaLines(
-    std::string_view content) {
-  std::map<std::string, std::string> kv;
-  for (const std::string& line : Split(content, '\n')) {
-    std::string_view t = Trim(line);
-    if (t.empty()) continue;
-    size_t eq = t.find('=');
-    if (eq == std::string_view::npos) {
-      return Status::Corruption("epoch META line without '=': " +
-                                std::string(t));
-    }
-    kv[std::string(t.substr(0, eq))] = std::string(t.substr(eq + 1));
-  }
-  return kv;
-}
-
-Result<uint64_t> MetaU64(const std::map<std::string, std::string>& kv,
-                         const std::string& key) {
-  auto it = kv.find(key);
-  if (it == kv.end()) {
-    return Status::Corruption("epoch META missing key '" + key + "'");
-  }
-  if (it->second.empty() || !IsAllDigits(it->second)) {
-    return Status::Corruption("epoch META key '" + key +
-                              "' is not a number: " + it->second);
-  }
-  errno = 0;
-  uint64_t v = std::strtoull(it->second.c_str(), nullptr, 10);
-  if (errno != 0) {
-    return Status::Corruption("epoch META key '" + key +
-                              "' out of range: " + it->second);
-  }
-  return v;
-}
 
 }  // namespace
 
@@ -186,7 +150,7 @@ Result<ServingEpoch> ServingEpoch::Load(const std::string& path) {
   // META first: reject files that are valid containers but not epochs
   // (e.g. a catalog snapshot dropped into the epoch directory).
   DD_ASSIGN_OR_RETURN(SectionSpan meta_span, view.Section("META"));
-  DD_ASSIGN_OR_RETURN(auto meta, ParseMetaLines(meta_span.payload));
+  DD_ASSIGN_OR_RETURN(auto meta, ParseMeta(meta_span.payload));
   auto kind = meta.find("kind");
   if (kind == meta.end() || kind->second != "serving-epoch") {
     return Status::Corruption("snapshot is not a serving epoch (kind=" +

@@ -24,6 +24,7 @@
 #include <unistd.h>
 
 #include <cstdint>
+#include <cstdio>
 #include <string>
 #include <thread>
 #include <vector>
@@ -41,14 +42,14 @@
 namespace dd {
 namespace {
 
-FactorGraph MakeFaultGraph() {
+FactorGraph MakeFaultGraph(uint64_t seed = 41) {
   SyntheticGraphOptions options;
   options.num_variables = 80;
   options.factors_per_variable = 2.0;
   options.evidence_fraction = 0.2;
   options.weight_scale = 0.5;
   options.num_weights = 8;
-  options.seed = 41;
+  options.seed = seed;
   FactorGraph graph = MakeRandomGraph(options);
   EXPECT_TRUE(graph.Finalize().ok());
   return graph;
@@ -221,8 +222,9 @@ TEST_F(DistFaultTest, BadMagicIsCorruption) {
 
 /// Drive one shard worker through the handshake with a hand-built
 /// assignment and return the worker's own Status. A worker that accepts
-/// the assignment answers kMsgReady and is told to finish.
-Status RunWorkerOnAssignment(const AssignMsg& assign) {
+/// the assignment answers kMsgReady, runs `epochs` learning exchanges
+/// under its graph's own weights, and is told to finish.
+Status RunWorkerOnAssignment(const AssignMsg& assign, uint32_t epochs = 0) {
   auto listener = WireListener::Listen("tcp:127.0.0.1:0");
   if (!listener.ok()) return listener.status();
   Status worker_status;
@@ -242,6 +244,16 @@ Status RunWorkerOnAssignment(const AssignMsg& assign) {
                                 Deadline::AfterMillis(5000))
                     .ok());
     auto ready = conn->RecvFrame(Deadline::AfterMillis(5000));
+    auto snap = DecodeGraphSnapshot(assign.graph_snapshot);
+    EXPECT_TRUE(snap.ok());
+    for (uint32_t epoch = 0; ready.ok() && snap.ok() && epoch < epochs; ++epoch) {
+      ExchangeStartMsg start{kPhaseLearn, epoch, snap->graph.weight_values(), {}};
+      EXPECT_TRUE(conn->SendFrame(kMsgExchangeStart, EncodeExchangeStart(start),
+                                  Deadline::AfterMillis(5000))
+                      .ok());
+      auto result = conn->RecvFrame(Deadline::AfterMillis(5000));
+      EXPECT_TRUE(result.ok() && result->type == kMsgExchangeResult);
+    }
     if (ready.ok()) {
       EXPECT_TRUE(conn->SendFrame(kMsgFinish, "", Deadline::AfterMillis(5000)).ok());
     }
@@ -283,6 +295,91 @@ TEST_F(DistFaultTest, ShardRejectsAssignmentOutsideItsGraph) {
   for (const AssignMsg& bad : {too_many, unsorted, duplicate, not_owned}) {
     Status status = RunWorkerOnAssignment(bad);
     EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << status.ToString();
+  }
+}
+
+// A shard checkpoint resumes only the worker that wrote it: the same
+// shard of the same cut, the same subgraph and the same seeds.
+TEST_F(DistFaultTest, ShardRejectsForeignCheckpoint) {
+  const FactorGraph graph = MakeFaultGraph();
+  AssignMsg owner = AssignmentFor(graph);
+  owner.checkpoint_path = TempDirPath("dd_dist_foreign_shard.snap");
+  std::remove(owner.checkpoint_path.c_str());
+  ASSERT_TRUE(RunWorkerOnAssignment(owner, /*epochs=*/1).ok());
+  // The owner itself resumes from it.
+  EXPECT_TRUE(RunWorkerOnAssignment(owner).ok());
+
+  AssignMsg other_shard = owner;
+  other_shard.shard = 1;
+  other_shard.num_shards = 2;
+  AssignMsg other_seed = owner;
+  other_seed.learn_seed += 1;
+  AssignMsg other_graph = AssignmentFor(MakeFaultGraph(/*seed=*/42));
+  other_graph.checkpoint_path = owner.checkpoint_path;
+  for (const AssignMsg& foreign : {other_shard, other_seed, other_graph}) {
+    Status status = RunWorkerOnAssignment(foreign);
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << status.ToString();
+  }
+  std::remove(owner.checkpoint_path.c_str());
+}
+
+// ---- Message decoding: every truncation and byte flip -----------------
+
+/// Decoding `payload` of type `type` (and, for an assignment, the
+/// subgraph snapshot it carries, as the worker does) either succeeds or
+/// returns a typed error.
+Status DecodeMessage(uint32_t type, const std::string& payload) {
+  switch (type) {
+    case kMsgHello:
+      return DecodeHello(payload).status();
+    case kMsgAssign: {
+      DD_ASSIGN_OR_RETURN(AssignMsg assign, DecodeAssign(payload));
+      return DecodeGraphSnapshot(assign.graph_snapshot).status();
+    }
+    case kMsgReady:
+      return DecodeReady(payload).status();
+    case kMsgExchangeStart:
+      return DecodeExchangeStart(payload).status();
+    default:
+      return DecodeExchangeResult(payload).status();
+  }
+}
+
+TEST_F(DistFaultTest, MessageDecodingSurvivesTruncationAndByteFlips) {
+  const FactorGraph graph = MakeFaultGraph();
+  AssignMsg assign = AssignmentFor(graph);
+  assign.owned_boundary = {1, 4, 9};
+  assign.checkpoint_path = "run/shard0.snap";
+  ExchangeResultMsg result{kPhaseInfer, 3, {1, 0, 1}, {0.5, 0.25, 1.0}, {}, true,
+                           {0.1, 0.9}, 48};
+  ReadyMsg ready{kPhaseInfer, 4, true, EncodeExchangeResult(result)};
+  const std::vector<std::pair<uint32_t, std::string>> messages = {
+      {kMsgHello, EncodeHello(HelloMsg{kDistProtocolVersion, 3})},
+      {kMsgAssign, EncodeAssign(assign)},
+      {kMsgReady, EncodeReady(ready)},
+      {kMsgExchangeStart,
+       EncodeExchangeStart({kPhaseLearn, 2, {0.5, -1.5}, {1, 0, 1}})},
+      {kMsgExchangeResult, EncodeExchangeResult(result)},
+  };
+  auto expect_typed = [](const Status& status, uint32_t type, const char* what,
+                         size_t at) {
+    EXPECT_TRUE(status.ok() || status.code() == StatusCode::kCorruption ||
+                status.code() == StatusCode::kInvalidArgument)
+        << "type " << type << " " << what << " at " << at << ": "
+        << status.ToString();
+  };
+  for (const auto& [type, payload] : messages) {
+    ASSERT_TRUE(DecodeMessage(type, payload).ok()) << "type " << type;
+    for (size_t cut = 0; cut < payload.size(); ++cut) {
+      Status status = DecodeMessage(type, payload.substr(0, cut));
+      EXPECT_FALSE(status.ok()) << "type " << type << " truncated at " << cut;
+      expect_typed(status, type, "truncated", cut);
+    }
+    for (size_t i = 0; i < payload.size(); ++i) {
+      std::string flipped = payload;
+      flipped[i] = static_cast<char>(flipped[i] ^ 0xff);
+      expect_typed(DecodeMessage(type, flipped), type, "flipped", i);
+    }
   }
 }
 

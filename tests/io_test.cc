@@ -84,15 +84,8 @@ TEST_P(IoRoundTripTest, BinarySnapshotMatchesTextOracle) {
   auto decoded = DecodeGraphSnapshot(EncodeGraphSnapshot(snap));
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
   ASSERT_TRUE(decoded->has_graph);
-  EXPECT_FALSE(decoded->text_graph);
   // The decoded graph serializes to the exact text the oracle produces.
   EXPECT_EQ(SerializeGraph(decoded->graph), SerializeGraph(snap.graph));
-
-  snap.text_graph = true;
-  auto from_text = DecodeGraphSnapshot(EncodeGraphSnapshot(snap));
-  ASSERT_TRUE(from_text.ok()) << from_text.status().ToString();
-  EXPECT_TRUE(from_text->text_graph);
-  EXPECT_EQ(SerializeGraph(from_text->graph), SerializeGraph(decoded->graph));
 }
 
 TEST(FactorIoTest, MalformedInputsRejected) {

@@ -294,6 +294,24 @@ TEST_F(LearnerResumeTest, InterruptedRunResumesBitIdentically) {
   }
 }
 
+TEST_F(LearnerResumeTest, CheckpointFromAnotherSeedIsRejected) {
+  std::string dir = ::testing::TempDir() + "learner_foreign";
+  ASSERT_TRUE(RunDirectory(dir).Create().ok());
+  ASSERT_TRUE(RunDirectory(dir).Clear().ok());
+  LearnOptions options;
+  options.epochs = 10;
+  options.seed = 99;
+  options.checkpoint_dir = dir;
+  FactorGraph first = MakeLearnGraph();
+  ASSERT_TRUE(Learner(&first).Learn(options).ok());
+
+  // learn.snap now holds seed 99's chains; another seed must not adopt them.
+  options.seed = 100;
+  FactorGraph second = MakeLearnGraph();
+  Status status = Learner(&second).Learn(options);
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << status.ToString();
+}
+
 // ---- Incremental inference: materialization resume --------------------
 
 class InferenceResumeTest : public ::testing::Test {
@@ -336,6 +354,82 @@ TEST_F(InferenceResumeTest, SamplingMaterializationResumesBitIdentically) {
         << "marginal " << v << " differs after resume";
   }
   std::remove(path.c_str());
+}
+
+// A checkpoint taken past burn-in resumes only under the schedule that
+// wrote it: another num_samples would mix two schedules' tallies.
+TEST_F(InferenceResumeTest, SamplingResumeUnderAnotherScheduleIsRejected) {
+  FactorGraph graph = MakeLearnGraph();
+  IncrementalOptions options;
+  options.full_burn_in = 50;
+  options.num_samples = 100;
+  options.seed = 31;
+  options.checkpoint_interval = 20;
+  IncrementalInference reference(&graph, MaterializationStrategy::kSampling,
+                                 options);
+  ASSERT_TRUE(reference.Materialize().ok());
+
+  IncrementalOptions durable = options;
+  durable.checkpoint_path = ::testing::TempDir() + "sampling_schedule.snap";
+  std::remove(durable.checkpoint_path.c_str());
+  // Die at sweep 70: the last checkpoint (sweep 60) is past burn-in.
+  ASSERT_TRUE(
+      Failpoints::Instance().Configure("inference.sweep=error(skip=70)").ok());
+  ASSERT_FALSE(IncrementalInference(&graph, MaterializationStrategy::kSampling,
+                                    durable)
+                   .Materialize()
+                   .ok());
+  Failpoints::Instance().Reset();
+
+  for (auto change : {&IncrementalOptions::num_samples,
+                      &IncrementalOptions::full_burn_in}) {
+    IncrementalOptions other = durable;
+    other.*change += 20;
+    Status status = IncrementalInference(&graph, MaterializationStrategy::kSampling,
+                                         other)
+                        .Materialize();
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << status.ToString();
+  }
+
+  IncrementalInference resumed(&graph, MaterializationStrategy::kSampling,
+                               durable);
+  ASSERT_TRUE(resumed.Materialize().ok());
+  EXPECT_EQ(resumed.marginals(), reference.marginals());
+  std::remove(durable.checkpoint_path.c_str());
+}
+
+TEST_F(InferenceResumeTest, ForeignSamplingCheckpointIsRejected) {
+  FactorGraph graph = MakeLearnGraph();
+  IncrementalOptions options;
+  options.full_burn_in = 10;
+  options.num_samples = 20;
+  options.checkpoint_path = ::testing::TempDir() + "sampling_foreign.snap";
+  std::remove(options.checkpoint_path.c_str());
+  ASSERT_TRUE(IncrementalInference(&graph, MaterializationStrategy::kSampling,
+                                   options)
+                  .Materialize()
+                  .ok());
+  auto valid = ReadGraphSnapshot(options.checkpoint_path);
+  ASSERT_TRUE(valid.ok()) << valid.status().ToString();
+  auto materialize = [&](const GraphSnapshot& snap) {
+    EXPECT_TRUE(WriteGraphSnapshot(snap, options.checkpoint_path).ok());
+    return IncrementalInference(&graph, MaterializationStrategy::kSampling, options)
+        .Materialize();
+  };
+  EXPECT_TRUE(materialize(*valid).ok());
+
+  // Another kind of checkpoint at the path is foreign: InvalidArgument.
+  GraphSnapshot wrong_kind = *valid;
+  wrong_kind.meta["kind"] = "learner";
+  Status status = materialize(wrong_kind);
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << status.ToString();
+
+  // A counter that is not a number is damage: Corruption.
+  GraphSnapshot bad_sweeps = *valid;
+  bad_sweeps.meta["sweeps"] = "12x";
+  status = materialize(bad_sweeps);
+  EXPECT_EQ(status.code(), StatusCode::kCorruption) << status.ToString();
+  std::remove(options.checkpoint_path.c_str());
 }
 
 TEST_F(InferenceResumeTest, VariationalCheckpointIsReused) {

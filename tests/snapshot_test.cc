@@ -510,7 +510,7 @@ TEST(GraphSnapshotFormatTest, TextOracleMatchesBinary) {
   snap.has_graph = true;
   snap.graph = MakeRandomGraph(options);
 
-  // Default is binary: GRBN+DICT sections, no GRPH.
+  // The graph is encoded as GRBN+DICT sections only.
   std::string binary = EncodeGraphSnapshot(snap);
   auto reader = SnapshotReader::Parse(binary);
   ASSERT_TRUE(reader.ok());
@@ -518,26 +518,11 @@ TEST(GraphSnapshotFormatTest, TextOracleMatchesBinary) {
   EXPECT_TRUE(reader->Has("DICT"));
   EXPECT_FALSE(reader->Has("GRPH"));
 
-  // text_graph flips to the ddfg oracle format.
-  snap.text_graph = true;
-  std::string text = EncodeGraphSnapshot(snap);
-  auto text_reader = SnapshotReader::Parse(text);
-  ASSERT_TRUE(text_reader.ok());
-  EXPECT_TRUE(text_reader->Has("GRPH"));
-  EXPECT_FALSE(text_reader->Has("GRBN"));
-
-  // Both decode to the same graph, and each remembers its format so
-  // decode→encode round-trips are byte-exact.
+  // It decodes to the same graph, and decode→encode is byte-exact.
   auto from_binary = DecodeGraphSnapshot(binary);
-  auto from_text = DecodeGraphSnapshot(text);
   ASSERT_TRUE(from_binary.ok()) << from_binary.status().ToString();
-  ASSERT_TRUE(from_text.ok()) << from_text.status().ToString();
-  EXPECT_FALSE(from_binary->text_graph);
-  EXPECT_TRUE(from_text->text_graph);
-  EXPECT_EQ(SerializeGraph(from_binary->graph), SerializeGraph(from_text->graph));
   EXPECT_EQ(SerializeGraph(from_binary->graph), SerializeGraph(snap.graph));
   EXPECT_EQ(EncodeGraphSnapshot(*from_binary), binary);
-  EXPECT_EQ(EncodeGraphSnapshot(*from_text), text);
 }
 
 // ---- Mapped snapshots ---------------------------------------------------
