@@ -22,10 +22,6 @@ namespace {
 
 constexpr size_t kFrameHeaderBytes = 16;  // magic + type + payload_len
 
-void PutRaw(std::string* out, const void* p, size_t n) {
-  out->append(static_cast<const char*>(p), n);
-}
-
 Status SetNonBlocking(int fd) {
   const int flags = fcntl(fd, F_GETFL, 0);
   if (flags < 0 || fcntl(fd, F_SETFL, flags | O_NONBLOCK) < 0) {
@@ -85,85 +81,6 @@ Status ParseEndpoint(const std::string& endpoint, std::string* tcp_host,
 }
 
 }  // namespace
-
-void PutU32(std::string* out, uint32_t v) {
-  char buf[4];
-  memcpy(buf, &v, 4);
-  PutRaw(out, buf, 4);
-}
-
-void PutU64(std::string* out, uint64_t v) {
-  char buf[8];
-  memcpy(buf, &v, 8);
-  PutRaw(out, buf, 8);
-}
-
-void PutDouble(std::string* out, double v) {
-  uint64_t bits;
-  memcpy(&bits, &v, 8);
-  PutU64(out, bits);
-}
-
-void PutBytes(std::string* out, std::string_view bytes) {
-  PutU64(out, bytes.size());
-  PutRaw(out, bytes.data(), bytes.size());
-}
-
-Status WireCursor::Take(size_t n, const char** p) {
-  if (data_.size() - pos_ < n) {
-    return Status::Corruption(
-        StrFormat("wire payload truncated at offset %zu (need %zu bytes, "
-                  "have %zu)",
-                  pos_, n, data_.size() - pos_));
-  }
-  *p = data_.data() + pos_;
-  pos_ += n;
-  return Status::OK();
-}
-
-Status WireCursor::ReadU32(uint32_t* v) {
-  const char* p = nullptr;
-  DD_RETURN_IF_ERROR(Take(4, &p));
-  memcpy(v, p, 4);
-  return Status::OK();
-}
-
-Status WireCursor::ReadU64(uint64_t* v) {
-  const char* p = nullptr;
-  DD_RETURN_IF_ERROR(Take(8, &p));
-  memcpy(v, p, 8);
-  return Status::OK();
-}
-
-Status WireCursor::ReadDouble(double* v) {
-  uint64_t bits = 0;
-  DD_RETURN_IF_ERROR(ReadU64(&bits));
-  memcpy(v, &bits, 8);
-  return Status::OK();
-}
-
-Status WireCursor::ReadBytes(std::string* out) {
-  uint64_t n = 0;
-  DD_RETURN_IF_ERROR(ReadU64(&n));
-  if (n > kWireMaxPayload) {
-    return Status::Corruption(
-        StrFormat("wire byte field claims %llu bytes (cap %llu)",
-                  static_cast<unsigned long long>(n),
-                  static_cast<unsigned long long>(kWireMaxPayload)));
-  }
-  const char* p = nullptr;
-  DD_RETURN_IF_ERROR(Take(static_cast<size_t>(n), &p));
-  out->assign(p, static_cast<size_t>(n));
-  return Status::OK();
-}
-
-Status WireCursor::ExpectEnd() const {
-  if (pos_ != data_.size()) {
-    return Status::Corruption(
-        StrFormat("wire payload has %zu trailing bytes", data_.size() - pos_));
-  }
-  return Status::OK();
-}
 
 WireConn::WireConn(WireConn&& other) noexcept : fd_(other.fd_) {
   other.fd_ = -1;
@@ -338,11 +255,9 @@ Result<Frame> WireConn::RecvFrame(const Deadline& deadline) {
     }
     return st;
   }
-  uint32_t magic = 0, type = 0;
-  uint64_t payload_len = 0;
-  memcpy(&magic, header, 4);
-  memcpy(&type, header + 4, 4);
-  memcpy(&payload_len, header + 8, 8);
+  const uint32_t magic = LoadU32(header, 0);
+  const uint32_t type = LoadU32(header, 4);
+  const uint64_t payload_len = LoadU64(header, 8);
   if (magic != kWireMagic) {
     return Status::Corruption(
         StrFormat("bad frame magic 0x%08x (want 0x%08x)", magic, kWireMagic));
@@ -375,8 +290,7 @@ Result<Frame> WireConn::RecvFrame(const Deadline& deadline) {
     }
     return st;
   }
-  uint32_t wire_crc = 0;
-  memcpy(&wire_crc, crc_buf, 4);
+  const uint32_t wire_crc = LoadU32(crc_buf, 0);
   uint32_t crc = Crc32c(header + 4, sizeof(header) - 4);
   crc = Crc32cExtend(crc, frame.payload.data(), frame.payload.size());
   if (crc != wire_crc) {

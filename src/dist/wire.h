@@ -5,6 +5,7 @@
 #include <string>
 #include <string_view>
 
+#include "util/bytes.h"
 #include "util/deadline.h"
 #include "util/result.h"
 #include "util/rng.h"
@@ -21,7 +22,8 @@ namespace dd {
 ///   payload     payload_len bytes
 ///   crc32c      u32   over type + payload_len + payload
 ///
-/// All integers little-endian. Reads are bounds-checked; a bad magic,
+/// All integers little-endian; headers and payloads are written and read
+/// with the byte codec of util/bytes.h. Reads are bounds-checked; a bad magic,
 /// an oversized length, or a CRC mismatch is Status::Corruption — the
 /// stream is declared poisoned and is never retried. Transient faults
 /// (connection refused/reset before any frame byte moved) surface as
@@ -39,33 +41,6 @@ inline constexpr uint64_t kWireMaxPayload = 1ull << 30;
 struct Frame {
   uint32_t type = 0;
   std::string payload;
-};
-
-/// ---- Payload encoding helpers -----------------------------------------
-
-void PutU32(std::string* out, uint32_t v);
-void PutU64(std::string* out, uint64_t v);
-void PutDouble(std::string* out, double v);  ///< bit-exact (u64 image)
-void PutBytes(std::string* out, std::string_view bytes);  ///< u64 len + bytes
-
-/// Bounds-checked sequential decoder over a payload. Every overrun is
-/// Status::Corruption with the offset, never undefined behavior.
-class WireCursor {
- public:
-  explicit WireCursor(std::string_view data) : data_(data) {}
-
-  Status ReadU32(uint32_t* v);
-  Status ReadU64(uint64_t* v);
-  Status ReadDouble(double* v);
-  Status ReadBytes(std::string* out);
-
-  size_t remaining() const { return data_.size() - pos_; }
-  Status ExpectEnd() const;
-
- private:
-  Status Take(size_t n, const char** p);
-  std::string_view data_;
-  size_t pos_ = 0;
 };
 
 /// ---- Connections ------------------------------------------------------

@@ -12,6 +12,7 @@
 #include <string_view>
 
 #include "storage/snapshot.h"
+#include "util/bytes.h"
 #include "util/crc32c.h"
 #include "util/failpoint.h"
 #include "util/logging.h"
@@ -166,77 +167,7 @@ namespace {
 constexpr char kMagic[4] = {'D', 'D', 'S', 'N'};
 constexpr uint32_t kSnapshotVersion = 1;
 constexpr char kEndTag[] = "END.";
-
-void AppendU32(std::string* out, uint32_t v) {
-  for (int i = 0; i < 4; ++i) out->push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-}
-
-void AppendU64(std::string* out, uint64_t v) {
-  for (int i = 0; i < 8; ++i) out->push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-}
-
-/// Bounds-checked sequential reader over a byte buffer. Every extraction
-/// verifies the remaining byte count and reports Status::Corruption with
-/// the offset on truncation — partial structs are never produced.
-class ByteReader {
- public:
-  explicit ByteReader(std::string_view buf) : buf_(buf) {}
-
-  size_t offset() const { return pos_; }
-  size_t remaining() const { return buf_.size() - pos_; }
-
-  Status ReadBytes(void* out, size_t n, const char* what) {
-    if (n > remaining()) {
-      return Status::Corruption(
-          StrFormat("truncated %s at offset %zu: need %zu bytes, have %zu", what,
-                    pos_, n, remaining()));
-    }
-    std::memcpy(out, buf_.data() + pos_, n);
-    pos_ += n;
-    return Status::OK();
-  }
-
-  Status ReadString(std::string* out, size_t n, const char* what) {
-    if (n > remaining()) {
-      return Status::Corruption(
-          StrFormat("truncated %s at offset %zu: need %zu bytes, have %zu", what,
-                    pos_, n, remaining()));
-    }
-    out->assign(buf_.data() + pos_, n);
-    pos_ += n;
-    return Status::OK();
-  }
-
-  Status Skip(size_t n, const char* what) {
-    if (n > remaining()) {
-      return Status::Corruption(
-          StrFormat("truncated %s at offset %zu: need %zu bytes, have %zu", what,
-                    pos_, n, remaining()));
-    }
-    pos_ += n;
-    return Status::OK();
-  }
-
-  Status ReadU32(uint32_t* out, const char* what) {
-    uint8_t b[4];
-    DD_RETURN_IF_ERROR(ReadBytes(b, 4, what));
-    *out = 0;
-    for (int i = 0; i < 4; ++i) *out |= static_cast<uint32_t>(b[i]) << (8 * i);
-    return Status::OK();
-  }
-
-  Status ReadU64(uint64_t* out, const char* what) {
-    uint8_t b[8];
-    DD_RETURN_IF_ERROR(ReadBytes(b, 8, what));
-    *out = 0;
-    for (int i = 0; i < 8; ++i) *out |= static_cast<uint64_t>(b[i]) << (8 * i);
-    return Status::OK();
-  }
-
- private:
-  std::string_view buf_;
-  size_t pos_ = 0;
-};
+constexpr size_t kSectionHeaderBytes = 12;  // tag + u64 payload length
 
 }  // namespace
 
@@ -272,21 +203,27 @@ Result<std::string> ReadFileBytes(const std::string& path) {
 
 void SnapshotWriter::AddSection(const std::string& tag, std::string payload) {
   DD_CHECK(tag.size() == 4);
+  size_ += kSectionHeaderBytes + payload.size() + 4;
   sections_.emplace_back(tag, std::move(payload));
+}
+
+void SnapshotWriter::AddAlignedSection(const std::string& tag,
+                                       std::string_view content) {
+  AddSection(tag, WithAlignmentPad(size_ + kSectionHeaderBytes, content));
 }
 
 std::string SnapshotWriter::Encode() const {
   std::string out;
   out.append(kMagic, 4);
-  AppendU32(&out, kSnapshotVersion);
+  PutU32(&out, kSnapshotVersion);
   auto append_section = [&out](const std::string& tag, const std::string& payload) {
-    std::string header = tag;
-    AppendU64(&header, payload.size());
-    uint32_t crc = Crc32c(header.data(), header.size());
+    const size_t header_at = out.size();
+    out += tag;
+    PutU64(&out, payload.size());
+    uint32_t crc = Crc32c(out.data() + header_at, kSectionHeaderBytes);
     crc = Crc32cExtend(crc, payload.data(), payload.size());
-    out += header;
     out += payload;
-    AppendU32(&out, crc);
+    PutU32(&out, crc);
   };
   for (const auto& [tag, payload] : sections_) append_section(tag, payload);
   append_section(kEndTag, "");
@@ -341,46 +278,37 @@ Status SnapshotWriter::WriteFile(const std::string& path) const {
 
 Result<SnapshotView> SnapshotView::Parse(std::string_view bytes) {
   ByteReader r(bytes);
-  char magic[4];
-  DD_RETURN_IF_ERROR(r.ReadBytes(magic, 4, "snapshot magic"));
-  if (std::memcmp(magic, kMagic, 4) != 0) {
+  std::string_view magic;
+  DD_RETURN_IF_ERROR(r.Bytes(4, &magic, "snapshot magic"));
+  if (magic != std::string_view(kMagic, 4)) {
     return Status::Corruption("bad magic: not a DDSN snapshot");
   }
   uint32_t version = 0;
-  DD_RETURN_IF_ERROR(r.ReadU32(&version, "snapshot version"));
+  DD_RETURN_IF_ERROR(r.U32(&version, "snapshot version"));
   if (version != kSnapshotVersion) {
     return Status::Corruption(StrFormat("unsupported snapshot version %u", version));
   }
 
   SnapshotView view;
+  view.base_ = bytes.data();
   for (;;) {
-    size_t section_offset = r.offset();
-    std::string tag;
-    DD_RETURN_IF_ERROR(r.ReadString(&tag, 4, "section tag"));
+    const size_t section_offset = r.offset();
+    std::string_view tag, payload;
     uint64_t len = 0;
-    DD_RETURN_IF_ERROR(r.ReadU64(&len, "section length"));
-    if (len > r.remaining()) {
-      return Status::Corruption(
-          StrFormat("section '%s' at offset %zu declares %llu payload bytes but "
-                    "only %zu remain",
-                    tag.c_str(), section_offset,
-                    static_cast<unsigned long long>(len), r.remaining()));
-    }
-    size_t payload_offset = r.offset();
-    std::string_view payload = bytes.substr(payload_offset,
-                                            static_cast<size_t>(len));
-    DD_RETURN_IF_ERROR(r.Skip(static_cast<size_t>(len), "section payload"));
     uint32_t stored_crc = 0;
-    DD_RETURN_IF_ERROR(r.ReadU32(&stored_crc, "section checksum"));
-    std::string header = tag;
-    AppendU64(&header, payload.size());
-    uint32_t computed = Crc32c(header.data(), header.size());
+    DD_RETURN_IF_ERROR(r.Bytes(4, &tag, "section tag"));
+    DD_RETURN_IF_ERROR(r.U64(&len, "section length"));
+    DD_RETURN_IF_ERROR(r.Bytes(len, &payload, "section payload"));
+    DD_RETURN_IF_ERROR(r.U32(&stored_crc, "section checksum"));
+    // The CRC covers the tag and length fields too.
+    uint32_t computed = Crc32c(bytes.data() + section_offset, kSectionHeaderBytes);
     computed = Crc32cExtend(computed, payload.data(), payload.size());
+    const std::string name(tag);
     if (computed != stored_crc) {
       return Status::Corruption(
           StrFormat("checksum mismatch in section '%s' at offset %zu "
                     "(stored %08x, computed %08x)",
-                    tag.c_str(), section_offset, stored_crc, computed));
+                    name.c_str(), section_offset, stored_crc, computed));
     }
     if (tag == kEndTag) {
       if (len != 0) {
@@ -393,16 +321,15 @@ Result<SnapshotView> SnapshotView::Parse(std::string_view bytes) {
       }
       break;
     }
-    if (view.sections_.count(tag) > 0) {
+    if (!view.sections_.emplace(name, payload).second) {
       return Status::Corruption(StrFormat("duplicate section '%s' at offset %zu",
-                                          tag.c_str(), section_offset));
+                                          name.c_str(), section_offset));
     }
-    view.sections_.emplace(tag, SectionSpan{payload_offset, payload});
   }
   return view;
 }
 
-Result<SectionSpan> SnapshotView::Section(const std::string& tag) const {
+Result<std::string_view> SnapshotView::Section(const std::string& tag) const {
   auto it = sections_.find(tag);
   if (it == sections_.end()) {
     return Status::NotFound("snapshot has no section '" + tag + "'");
@@ -410,67 +337,84 @@ Result<SectionSpan> SnapshotView::Section(const std::string& tag) const {
   return it->second;
 }
 
-Result<SnapshotReader> SnapshotReader::Parse(std::string bytes) {
-  DD_ASSIGN_OR_RETURN(SnapshotView view, SnapshotView::Parse(bytes));
-  SnapshotReader reader;
-  for (const auto& [tag, span] : view.sections()) {
-    reader.sections_.emplace(tag, std::string(span.payload));
-  }
-  return reader;
+Result<std::string_view> SnapshotView::AlignedSection(const std::string& tag) const {
+  DD_ASSIGN_OR_RETURN(std::string_view payload, Section(tag));
+  return StripAlignmentPad(static_cast<size_t>(payload.data() - base_), payload);
 }
 
-Result<SnapshotReader> SnapshotReader::ReadFile(const std::string& path) {
-  DD_ASSIGN_OR_RETURN(std::string bytes, ReadFileBytes(path));
-  return Parse(std::move(bytes));
+// ---- Alignment padding --------------------------------------------------
+
+namespace {
+
+/// Pad length that puts the content (after the 1-byte prefix) of a
+/// payload starting at `payload_file_offset` on an 8-byte file offset.
+size_t AlignmentPad(size_t payload_file_offset) {
+  return (8 - ((payload_file_offset + 1) & 7)) & 7;
 }
 
-Result<std::string> SnapshotReader::Section(const std::string& tag) const {
-  auto it = sections_.find(tag);
-  if (it == sections_.end()) {
-    return Status::NotFound("snapshot has no section '" + tag + "'");
+}  // namespace
+
+std::string WithAlignmentPad(size_t payload_file_offset, std::string_view content) {
+  const size_t pad = AlignmentPad(payload_file_offset);
+  std::string out;
+  out.reserve(1 + pad + content.size());
+  out.push_back(static_cast<char>(pad));
+  out.append(pad, '\0');
+  out += content;
+  return out;
+}
+
+Result<std::string_view> StripAlignmentPad(size_t payload_file_offset,
+                                           std::string_view payload) {
+  if (payload.empty()) {
+    return Status::Corruption("aligned section payload missing pad prefix");
   }
-  return it->second;
+  const size_t expected = AlignmentPad(payload_file_offset);
+  const size_t pad = static_cast<uint8_t>(payload[0]);
+  if (pad != expected) {
+    return Status::Corruption(
+        StrFormat("section pad length %zu does not match file offset %zu "
+                  "(expected %zu)",
+                  pad, payload_file_offset, expected));
+  }
+  if (payload.size() < 1 + pad) {
+    return Status::Corruption("aligned section shorter than its pad");
+  }
+  for (size_t i = 0; i < pad; ++i) {
+    if (payload[1 + i] != '\0') {
+      return Status::Corruption(
+          StrFormat("nonzero alignment pad byte at index %zu", i));
+    }
+  }
+  return payload.substr(1 + pad);
 }
 
 // ---- Typed graph snapshot ---------------------------------------------
 
 namespace {
 
-/// Decode-side guard: a section's payload must be consumed exactly.
-Status ExpectConsumed(const ByteReader& r, const char* tag) {
-  if (r.remaining() != 0) {
-    return Status::Corruption(StrFormat("%zu trailing bytes in section '%s'",
-                                        r.remaining(), tag));
-  }
-  return Status::OK();
-}
-
 /// WGHT/CNTS/MRGN layout: u64 count, then `count` 8-byte LE words.
 template <typename T>
 std::string EncodeWords(const std::vector<T>& values) {
   std::string payload;
-  AppendU64(&payload, values.size());
-  for (T v : values) AppendU64(&payload, std::bit_cast<uint64_t>(v));
+  PutU64(&payload, values.size());
+  for (T v : values) PutU64(&payload, std::bit_cast<uint64_t>(v));
   return payload;
 }
 
 template <typename T>
 Status DecodeWords(const SnapshotView& reader, const char* tag, std::vector<T>* out) {
   if (!reader.Has(tag)) return Status::OK();
-  DD_ASSIGN_OR_RETURN(SectionSpan span, reader.Section(tag));
-  ByteReader r(span.payload);
+  DD_ASSIGN_OR_RETURN(std::string_view payload, reader.Section(tag));
+  ByteReader r(payload);
   uint64_t count = 0;
-  DD_RETURN_IF_ERROR(r.ReadU64(&count, tag));
-  if (r.remaining() % 8 != 0 || count != r.remaining() / 8) {
-    return Status::Corruption(
-        StrFormat("%s declares %llu values but carries %zu payload bytes", tag,
-                  static_cast<unsigned long long>(count), r.remaining()));
-  }
+  size_t off = 0;
+  DD_RETURN_IF_ERROR(r.U64(&count, tag));
+  DD_RETURN_IF_ERROR(r.Array(8, count, &off, tag));
+  DD_RETURN_IF_ERROR(r.Done(tag));
   out->resize(static_cast<size_t>(count));
-  for (T& v : *out) {
-    uint64_t bits = 0;
-    DD_RETURN_IF_ERROR(r.ReadU64(&bits, tag));
-    v = std::bit_cast<T>(bits);
+  for (size_t i = 0; i < out->size(); ++i) {
+    (*out)[i] = std::bit_cast<T>(LoadU64(payload.data(), off + 8 * i));
   }
   return Status::OK();
 }
@@ -479,48 +423,37 @@ Status DecodeWords(const SnapshotView& reader, const char* tag, std::vector<T>* 
 
 std::string EncodeGraphSnapshot(const GraphSnapshot& snapshot) {
   SnapshotWriter writer;
-  SectionLayout layout;
-  auto add_section = [&](const char* tag, std::string payload) {
-    layout.Add(payload.size());
-    writer.AddSection(tag, std::move(payload));
-  };
-  // Binary sections are pad-prefixed against their file offset so their
-  // content is 8-byte-aligned in the file (mmap readers get aligned
-  // arrays); the layout tracker must therefore see every section, in
-  // file order.
-  auto add_aligned = [&](const char* tag, std::string content) {
-    add_section(tag,
-                WithAlignmentPad(layout.NextPayloadOffset(), std::move(content)));
-  };
+  // GRBN and DICT are binary sections read in place, so their contents
+  // are 8-aligned in the file.
   if (snapshot.has_graph) {
     StringPoolBuilder pool;
     std::string grbn;
     EncodeBinaryGraph(snapshot.graph, &pool, &grbn);
-    add_aligned("GRBN", std::move(grbn));
-    add_aligned("DICT", pool.EncodeContent());
+    writer.AddAlignedSection("GRBN", grbn);
+    writer.AddAlignedSection("DICT", pool.EncodeContent());
   }
-  if (!snapshot.weights.empty()) add_section("WGHT", EncodeWords(snapshot.weights));
+  if (!snapshot.weights.empty()) writer.AddSection("WGHT", EncodeWords(snapshot.weights));
   if (!snapshot.chains.empty()) {
     std::string payload;
-    AppendU64(&payload, snapshot.chains.size());
+    PutU64(&payload, snapshot.chains.size());
     for (const auto& chain : snapshot.chains) {
-      AppendU64(&payload, chain.size());
-      payload.append(reinterpret_cast<const char*>(chain.data()), chain.size());
+      PutBytes(&payload, std::string_view(reinterpret_cast<const char*>(chain.data()),
+                                          chain.size()));
     }
-    add_section("CHNS", std::move(payload));
+    writer.AddSection("CHNS", std::move(payload));
   }
-  if (!snapshot.counts.empty()) add_section("CNTS", EncodeWords(snapshot.counts));
+  if (!snapshot.counts.empty()) writer.AddSection("CNTS", EncodeWords(snapshot.counts));
   if (!snapshot.marginals.empty()) {
-    add_section("MRGN", EncodeWords(snapshot.marginals));
+    writer.AddSection("MRGN", EncodeWords(snapshot.marginals));
   }
   if (!snapshot.rng_states.empty()) {
     std::string payload;
-    AppendU64(&payload, snapshot.rng_states.size());
+    PutU64(&payload, snapshot.rng_states.size());
     for (const RngState& st : snapshot.rng_states) {
-      AppendU64(&payload, st.s0);
-      AppendU64(&payload, st.s1);
+      PutU64(&payload, st.s0);
+      PutU64(&payload, st.s1);
     }
-    add_section("RNGS", std::move(payload));
+    writer.AddSection("RNGS", std::move(payload));
   }
   if (!snapshot.meta.empty()) {
     std::string payload;
@@ -530,7 +463,7 @@ std::string EncodeGraphSnapshot(const GraphSnapshot& snapshot) {
       payload += value;
       payload += '\n';
     }
-    add_section("META", std::move(payload));
+    writer.AddSection("META", std::move(payload));
   }
   return writer.Encode();
 }
@@ -540,77 +473,62 @@ Result<GraphSnapshot> DecodeGraphSnapshot(const std::string& bytes) {
   GraphSnapshot snap;
 
   if (reader.Has("GRBN")) {
-    // Binary graph + its string pool. Pads are validated against the
-    // sections' file offsets recorded by the container parse.
-    DD_ASSIGN_OR_RETURN(SectionSpan grbn_span, reader.Section("GRBN"));
-    Result<SectionSpan> dict_span = reader.Section("DICT");
-    if (!dict_span.ok()) {
+    // Binary graph + its string pool; the pads are validated against the
+    // sections' file offsets.
+    if (!reader.Has("DICT")) {
       return Status::Corruption("GRBN section without its DICT string pool");
     }
-    DD_ASSIGN_OR_RETURN(
-        std::string_view dict_content,
-        StripAlignmentPad(dict_span->offset, dict_span->payload));
+    DD_ASSIGN_OR_RETURN(std::string_view dict_content, reader.AlignedSection("DICT"));
     DD_ASSIGN_OR_RETURN(StringPoolView pool, StringPoolView::Parse(dict_content));
-    DD_ASSIGN_OR_RETURN(
-        std::string_view grbn_content,
-        StripAlignmentPad(grbn_span.offset, grbn_span.payload));
-    DD_ASSIGN_OR_RETURN(BinaryGraphView view,
-                        ParseBinaryGraph(grbn_content, pool));
+    DD_ASSIGN_OR_RETURN(std::string_view grbn_content, reader.AlignedSection("GRBN"));
+    DD_ASSIGN_OR_RETURN(BinaryGraphView view, ParseBinaryGraph(grbn_content, pool));
     DD_ASSIGN_OR_RETURN(snap.graph, GraphFromBinary(view, pool));
     snap.has_graph = true;
   }
   DD_RETURN_IF_ERROR(DecodeWords(reader, "WGHT", &snap.weights));
   if (reader.Has("CHNS")) {
-    DD_ASSIGN_OR_RETURN(SectionSpan span, reader.Section("CHNS"));
-    ByteReader r(span.payload);
+    DD_ASSIGN_OR_RETURN(std::string_view payload, reader.Section("CHNS"));
+    ByteReader r(payload);
     uint64_t num_chains = 0;
-    DD_RETURN_IF_ERROR(r.ReadU64(&num_chains, "CHNS count"));
+    DD_RETURN_IF_ERROR(r.U64(&num_chains, "CHNS count"));
     // Each chain needs at least its 8-byte length prefix.
     if (num_chains > r.remaining() / 8) {
       return Status::Corruption(StrFormat("CHNS declares %llu chains in a %zu-byte "
                                           "payload",
                                           static_cast<unsigned long long>(num_chains),
-                                          span.payload.size()));
+                                          payload.size()));
     }
     snap.chains.resize(static_cast<size_t>(num_chains));
     for (auto& chain : snap.chains) {
-      uint64_t len = 0;
-      DD_RETURN_IF_ERROR(r.ReadU64(&len, "chain length"));
-      if (len > r.remaining()) {
-        return Status::Corruption(StrFormat(
-            "chain declares %llu bytes but only %zu remain in CHNS",
-            static_cast<unsigned long long>(len), r.remaining()));
-      }
-      chain.resize(static_cast<size_t>(len));
-      DD_RETURN_IF_ERROR(r.ReadBytes(chain.data(), chain.size(), "chain bytes"));
+      std::string_view bytes;
+      DD_RETURN_IF_ERROR(r.LengthPrefixed(UINT64_MAX, &bytes, "chain bytes"));
+      chain.assign(bytes.begin(), bytes.end());
       for (uint8_t b : chain) {
         if (b > 1) return Status::Corruption("chain byte outside {0,1}");
       }
     }
-    DD_RETURN_IF_ERROR(ExpectConsumed(r, "CHNS"));
+    DD_RETURN_IF_ERROR(r.Done("CHNS"));
   }
   DD_RETURN_IF_ERROR(DecodeWords(reader, "CNTS", &snap.counts));
   DD_RETURN_IF_ERROR(DecodeWords(reader, "MRGN", &snap.marginals));
   if (reader.Has("RNGS")) {
-    DD_ASSIGN_OR_RETURN(SectionSpan span, reader.Section("RNGS"));
-    ByteReader r(span.payload);
+    DD_ASSIGN_OR_RETURN(std::string_view payload, reader.Section("RNGS"));
+    ByteReader r(payload);
     uint64_t count = 0;
-    DD_RETURN_IF_ERROR(r.ReadU64(&count, "RNGS count"));
-    if (r.remaining() % 16 != 0 || count != r.remaining() / 16) {
-      return Status::Corruption(StrFormat(
-          "RNGS declares %llu states but carries %zu payload bytes",
-          static_cast<unsigned long long>(count), r.remaining()));
-    }
+    size_t off = 0;
+    DD_RETURN_IF_ERROR(r.U64(&count, "RNGS count"));
+    DD_RETURN_IF_ERROR(r.Array(16, count, &off, "RNGS states"));
+    DD_RETURN_IF_ERROR(r.Done("RNGS"));
     snap.rng_states.resize(static_cast<size_t>(count));
     for (RngState& st : snap.rng_states) {
-      DD_RETURN_IF_ERROR(r.ReadU64(&st.s0, "rng s0"));
-      DD_RETURN_IF_ERROR(r.ReadU64(&st.s1, "rng s1"));
+      st.s0 = LoadU64(payload.data(), off);
+      st.s1 = LoadU64(payload.data(), off + 8);
+      off += 16;
     }
-    DD_RETURN_IF_ERROR(ExpectConsumed(r, "RNGS"));
   }
   if (reader.Has("META")) {
-    DD_ASSIGN_OR_RETURN(SectionSpan span, reader.Section("META"));
-    DD_ASSIGN_OR_RETURN(snap.meta, ParseMeta(span.payload));
+    DD_ASSIGN_OR_RETURN(std::string_view payload, reader.Section("META"));
+    DD_ASSIGN_OR_RETURN(snap.meta, ParseMeta(payload));
   }
   return snap;
 }

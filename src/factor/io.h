@@ -58,6 +58,12 @@ class SnapshotWriter {
   /// unique within the snapshot.
   void AddSection(const std::string& tag, std::string payload);
 
+  /// Append a binary section whose content lands on an 8-byte file
+  /// offset: the payload is WithAlignmentPad(<its file offset>, content),
+  /// so an mmap of the file (page-aligned base) yields aligned arrays.
+  /// SnapshotView::AlignedSection strips the pad again.
+  void AddAlignedSection(const std::string& tag, std::string_view content);
+
   /// Serialize the container to bytes (in-memory path, used by tests).
   std::string Encode() const;
 
@@ -66,23 +72,13 @@ class SnapshotWriter {
 
  private:
   std::vector<std::pair<std::string, std::string>> sections_;
-};
-
-/// One section located inside a container buffer. `offset` is the byte
-/// position of the payload within the *file* (after the 12-byte tag+len
-/// header) — binary sections use it to validate their alignment padding,
-/// which is computed against file offsets so that an mmap of the file
-/// (page-aligned base) yields 8-byte-aligned section contents.
-struct SectionSpan {
-  size_t offset = 0;
-  std::string_view payload;
+  size_t size_ = 8;  // encoded bytes so far: magic + version, then sections
 };
 
 /// Zero-copy container index: validates the full container (magic,
 /// version, per-section CRC32C, terminator, no trailing bytes) and hands
 /// out string_views into the caller's buffer. The buffer must outlive the
-/// view. SnapshotReader below is the owning convenience wrapper;
-/// MappedSnapshot (storage/snapshot.h) parses mmap'ed files with this.
+/// view. MappedSnapshot (storage/snapshot.h) parses mmap'ed files with this.
 class SnapshotView {
  public:
   /// Any structural defect yields Status::Corruption (with offset),
@@ -90,30 +86,26 @@ class SnapshotView {
   static Result<SnapshotView> Parse(std::string_view bytes);
 
   bool Has(const std::string& tag) const { return sections_.count(tag) > 0; }
-  Result<SectionSpan> Section(const std::string& tag) const;
-  const std::map<std::string, SectionSpan>& sections() const { return sections_; }
+  /// A section's payload; NotFound if absent.
+  Result<std::string_view> Section(const std::string& tag) const;
+  /// The content of a section written by AddAlignedSection: the pad is
+  /// validated against the section's file offset and stripped.
+  Result<std::string_view> AlignedSection(const std::string& tag) const;
 
  private:
-  std::map<std::string, SectionSpan> sections_;
+  const char* base_ = nullptr;  // start of the parsed buffer
+  std::map<std::string, std::string_view> sections_;  // tag -> payload
 };
 
-class SnapshotReader {
- public:
-  /// Validate a container and index its sections (copies payloads; use
-  /// SnapshotView to stay zero-copy). Any structural defect yields
-  /// Status::Corruption (with offset), never a crash.
-  static Result<SnapshotReader> Parse(std::string bytes);
+/// Wrap `content` as [u8 pad_len][pad_len zero bytes][content] with
+/// pad_len chosen so content begins at a file offset divisible by 8;
+/// `payload_file_offset` is where the payload starts in the file.
+std::string WithAlignmentPad(size_t payload_file_offset, std::string_view content);
 
-  /// Read `path` fully (checked I/O) and Parse.
-  static Result<SnapshotReader> ReadFile(const std::string& path);
-
-  bool Has(const std::string& tag) const { return sections_.count(tag) > 0; }
-  Result<std::string> Section(const std::string& tag) const;
-  const std::map<std::string, std::string>& sections() const { return sections_; }
-
- private:
-  std::map<std::string, std::string> sections_;
-};
+/// Validate and strip the pad prefix; Corruption on wrong pad length or
+/// nonzero pad bytes.
+Result<std::string_view> StripAlignmentPad(size_t payload_file_offset,
+                                           std::string_view payload);
 
 /// ---- Typed snapshot of pipeline/learning/inference state --------------
 ///

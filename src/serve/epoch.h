@@ -10,6 +10,7 @@
 
 #include "factor/graph.h"
 #include "storage/snapshot.h"
+#include "util/bytes.h"
 #include "util/result.h"
 #include "util/status.h"
 
@@ -70,26 +71,16 @@ class ServingEpoch {
   size_t num_factors() const { return static_cast<size_t>(graph_.num_factors); }
 
   double marginal(uint32_t var) const {
-    uint64_t bits;
-    std::memcpy(&bits, prob_content_.data() + prob_off_ + 8 * var, 8);
-    double d;
-    std::memcpy(&d, &bits, 8);
-    return d;
+    return LoadDouble(prob_content_.data(), prob_off_ + 8 * var);
   }
   bool var_live(uint32_t var) const {
-    uint64_t word;
-    std::memcpy(&word, vars_content_.data() + live_off_ + 8 * (var >> 6), 8);
-    return (word >> (var & 63)) & 1;
+    return (LoadU64(vars_content_.data(), live_off_ + 8 * (var >> 6)) >> (var & 63)) & 1;
   }
   std::string_view var_relation(uint32_t var) const {
-    uint32_t rel;
-    std::memcpy(&rel, vars_content_.data() + rel_off_ + 4 * var, 4);
-    return pool_.String(rel);
+    return pool_.String(LoadU32(vars_content_.data(), rel_off_ + 4 * var));
   }
   int64_t var_row(uint32_t var) const {
-    uint64_t bits;
-    std::memcpy(&bits, vars_content_.data() + row_off_ + 8 * var, 8);
-    return static_cast<int64_t>(bits);
+    return static_cast<int64_t>(LoadU64(vars_content_.data(), row_off_ + 8 * var));
   }
 
   /// Dense relation index for `name`; -1 if the epoch has no such

@@ -2,7 +2,6 @@
 #define DEEPDIVE_STORAGE_SNAPSHOT_H_
 
 #include <cstdint>
-#include <cstring>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -11,6 +10,7 @@
 #include "factor/graph.h"
 #include "factor/io.h"
 #include "storage/catalog.h"
+#include "util/bytes.h"
 #include "util/result.h"
 #include "util/status.h"
 
@@ -36,41 +36,16 @@ namespace dd {
 ///         byte-for-byte the arrays Table holds in memory, with string
 ///         cells remapped to DICT-local ids.
 ///
-/// Every multi-byte integer is little-endian. Each binary section's
-/// payload starts with a one-byte pad-length prefix and zero padding
-/// sized so the section *content* lands on an 8-byte file offset; an
-/// mmap of the file (page-aligned base) therefore exposes 8-byte-aligned
-/// arrays. All readers go through bounds-checked cursors and per-element
-/// memcpy accessors — on aligned mapped data these compile to single
-/// loads, and on unaligned heap copies they are still well-defined.
+/// Every multi-byte integer is little-endian. Each binary section is
+/// written with SnapshotWriter::AddAlignedSection, so the section
+/// *content* lands on an 8-byte file offset; an mmap of the file
+/// (page-aligned base) therefore exposes 8-byte-aligned arrays, and a
+/// PadTo8 inside the content pads to a file offset too. All readers go
+/// through the bounds-checked ByteReader and the per-element Load*
+/// accessors of util/bytes.h — on aligned mapped data these compile to
+/// single loads, and on unaligned heap copies they are still well-defined.
 /// Malformed input (bad counts, out-of-range ids, non-monotone offsets,
 /// nonzero padding, trailing bytes) yields Status::Corruption, never UB.
-
-/// ---- Alignment padding ------------------------------------------------
-
-/// Wrap `content` as [u8 pad_len][pad_len zero bytes][content] with
-/// pad_len chosen so content begins at a file offset divisible by 8.
-/// `payload_file_offset` is where the payload will start in the file
-/// (SectionLayout::NextPayloadOffset()).
-std::string WithAlignmentPad(size_t payload_file_offset, std::string content);
-
-/// Validate and strip the pad prefix; Corruption on wrong pad length or
-/// nonzero pad bytes.
-Result<std::string_view> StripAlignmentPad(size_t payload_file_offset,
-                                           std::string_view payload);
-
-/// Tracks file offsets while sections are appended to a SnapshotWriter:
-/// container header is 8 bytes, each section adds 12 (tag+len) + payload
-/// + 4 (CRC).
-class SectionLayout {
- public:
-  /// File offset at which the *next* section's payload will start.
-  size_t NextPayloadOffset() const { return total_ + 12; }
-  void Add(size_t payload_len) { total_ += 12 + payload_len + 4; }
-
- private:
-  size_t total_ = 8;
-};
 
 /// ---- String pool (DICT) -----------------------------------------------
 
@@ -109,11 +84,7 @@ class StringPoolView {
   }
 
  private:
-  uint32_t OffsetAt(size_t i) const {
-    uint32_t v;
-    std::memcpy(&v, offsets_ + 4 * i, 4);
-    return v;
-  }
+  uint32_t OffsetAt(size_t i) const { return LoadU32(offsets_, 4 * i); }
 
   size_t count_ = 0;
   const char* offsets_ = nullptr;  // (count_+1) little-endian u32s
@@ -123,7 +94,7 @@ class StringPoolView {
 /// ---- Binary factor graph (GRBN) ---------------------------------------
 
 /// Typed view over validated GRBN content: element counts plus byte
-/// offsets of each flat array. Accessors memcpy one element — zero-copy
+/// offsets of each flat array. Accessors load one element — zero-copy
 /// in the sense that no array is ever materialized; on an mmap'ed
 /// snapshot the bytes read are the file's pages.
 struct BinaryGraphView {
@@ -144,10 +115,7 @@ struct BinaryGraphView {
 
   uint64_t EvidenceWord(size_t i) const { return U64(evidence_off + 8 * i); }
   double WeightValue(size_t i) const {
-    uint64_t bits = U64(weight_values_off + 8 * i);
-    double d;
-    std::memcpy(&d, &bits, 8);
-    return d;
+    return LoadDouble(content.data(), weight_values_off + 8 * i);
   }
   uint32_t WeightDescId(size_t i) const { return U32(weight_desc_off + 4 * i); }
   bool WeightFixed(size_t i) const {
@@ -164,16 +132,8 @@ struct BinaryGraphView {
   uint64_t LiteralWord(size_t i) const { return U64(literals_off + 8 * i); }
 
  private:
-  uint64_t U64(size_t off) const {
-    uint64_t v;
-    std::memcpy(&v, content.data() + off, 8);
-    return v;
-  }
-  uint32_t U32(size_t off) const {
-    uint32_t v;
-    std::memcpy(&v, content.data() + off, 4);
-    return v;
-  }
+  uint64_t U64(size_t off) const { return LoadU64(content.data(), off); }
+  uint32_t U32(size_t off) const { return LoadU32(content.data(), off); }
 };
 
 /// Encode `graph` as GRBN content; weight descriptions are interned into
@@ -213,19 +173,13 @@ struct MappedTableView {
   std::vector<MappedColumnView> columns;
 
   bool RowLive(size_t row) const {
-    uint64_t word;
-    std::memcpy(&word, content.data() + live_off + 8 * (row >> 6), 8);
-    return (word >> (row & 63)) & 1;
+    return (LoadU64(content.data(), live_off + 8 * (row >> 6)) >> (row & 63)) & 1;
   }
   uint64_t RowHash(size_t row) const {
-    uint64_t h;
-    std::memcpy(&h, content.data() + hashes_off + 8 * row, 8);
-    return h;
+    return LoadU64(content.data(), hashes_off + 8 * row);
   }
   uint64_t CellPayload(size_t col, size_t row) const {
-    uint64_t v;
-    std::memcpy(&v, content.data() + columns[col].payload_off + 8 * row, 8);
-    return v;
+    return LoadU64(content.data(), columns[col].payload_off + 8 * row);
   }
   uint8_t CellTag(size_t col, size_t row) const {
     return static_cast<uint8_t>(content[columns[col].tags_off + row]);
@@ -286,8 +240,6 @@ class MappedSnapshot {
   Result<CatalogView> Tables(const StringPoolView& pool) const;
 
  private:
-  Result<std::string_view> SectionContent(const std::string& tag) const;
-
   void* map_base_ = nullptr;
   size_t map_len_ = 0;
   std::unique_ptr<uint64_t[]> heap_;  // 8-aligned fallback buffer

@@ -52,7 +52,8 @@ TEST(SnapshotContainerTest, RoundTrip) {
   SnapshotWriter writer;
   writer.AddSection("AAAA", "first payload");
   writer.AddSection("BBBB", std::string("\x00\x01\x02", 3));
-  auto reader = SnapshotReader::Parse(writer.Encode());
+  const std::string bytes = writer.Encode();
+  auto reader = SnapshotView::Parse(bytes);
   ASSERT_TRUE(reader.ok()) << reader.status().ToString();
   EXPECT_TRUE(reader->Has("AAAA"));
   ASSERT_TRUE(reader->Section("AAAA").ok());

@@ -30,12 +30,7 @@ void Pad8(std::string* out) {
 std::string BuildContainer(
     const std::vector<std::pair<std::string, std::string>>& sections) {
   SnapshotWriter writer;
-  SectionLayout layout;
-  for (const auto& [tag, content] : sections) {
-    std::string payload = WithAlignmentPad(layout.NextPayloadOffset(), content);
-    layout.Add(payload.size());
-    writer.AddSection(tag, payload);
-  }
+  for (const auto& [tag, content] : sections) writer.AddAlignedSection(tag, content);
   return writer.Encode();
 }
 
@@ -512,7 +507,7 @@ TEST(GraphSnapshotFormatTest, TextOracleMatchesBinary) {
 
   // The graph is encoded as GRBN+DICT sections only.
   std::string binary = EncodeGraphSnapshot(snap);
-  auto reader = SnapshotReader::Parse(binary);
+  auto reader = SnapshotView::Parse(binary);
   ASSERT_TRUE(reader.ok());
   EXPECT_TRUE(reader->Has("GRBN"));
   EXPECT_TRUE(reader->Has("DICT"));
