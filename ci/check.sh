@@ -106,6 +106,18 @@ else
   python3 ci/bench_gate.py BENCH_distributed.json build/BENCH_distributed.json | tee -a "$gate_log"
 fi
 
+echo "=== bench gate (incremental grounding: DRed counts + 2-doc speedup ratchet) ==="
+# EXP-DRED: every update size's DRed graph must match a fresh grounder's
+# factor/weight/live-variable counts (hard), and the 2-document total
+# DRed-vs-reground speedup must not regress past the tolerance (see
+# ci/bench_gate.py). Same DD_BENCH_GATE_SKIP / tolerance overrides.
+if [ "${DD_BENCH_GATE_SKIP:-0}" = "1" ]; then
+  echo "bench gate skipped (DD_BENCH_GATE_SKIP=1)"
+else
+  (cd build && ./bench/bench_incremental_grounding)
+  python3 ci/bench_gate.py BENCH_incremental.json build/BENCH_incremental.json | tee -a "$gate_log"
+fi
+
 echo "=== end-to-end KBC benchmark smoke tests ==="
 # Every BENCHMARK.json workload at smoke scale, untraced and traced. The
 # runs fail on their own output checks: traced vs untraced epoch bytes,

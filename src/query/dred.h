@@ -2,6 +2,7 @@
 #define DEEPDIVE_QUERY_DRED_H_
 
 #include <map>
+#include <memory>
 #include <set>
 #include <string>
 #include <vector>
@@ -37,7 +38,9 @@ class IncrementalEngine {
                     const EvalParallelism& par = EvalParallelism())
       : catalog_(catalog), rules_(std::move(rules)), par_(par) {}
 
-  /// Full evaluation: populate derived tables and derivation counts.
+  /// Full evaluation: populate derived tables and derivation counts. The
+  /// evaluation builds the engine's join indexes, and every index a
+  /// delta join will probe is built here too; batches only extend them.
   Status Initialize();
 
   /// Apply a batch of base-relation presence changes. Positive counts are
@@ -57,14 +60,30 @@ class IncrementalEngine {
 
  private:
   using CountMap = std::unordered_map<Tuple, int64_t, TupleHash>;
+  /// New-state views of the relations with a pending delta, built once
+  /// per batch (after the relation's delta is final).
+  using Overlays = std::map<std::string, std::unique_ptr<OverlaySource>>;
 
-  /// Evaluate one rule with the "delta expansion" at body position
+  /// A delta join compiled against its sources.
+  struct DeltaPlan {
+    std::vector<std::unique_ptr<TupleSource>> owned;
+    Atom stripped;  ///< the delta atom with its negation removed
+    CompiledConjunction cc;
+  };
+
+  /// Compile one rule with the "delta expansion" at body position
   /// `delta_pos`: positions before it read the new state, the delta
   /// position scans `delta`, positions after it read the old state.
-  /// Signed head-count contributions accumulate into `out`.
+  Status PlanDeltaJoin(const ConjunctiveRule& rule, size_t delta_pos,
+                       const DeltaSet* delta,
+                       const std::map<std::string, DeltaSet>& pending,
+                       Overlays* overlays, DeltaPlan* plan);
+
+  /// Evaluate the delta join at `delta_pos`; signed head-count
+  /// contributions accumulate into `out`.
   Status DeltaJoin(const ConjunctiveRule& rule, size_t delta_pos,
                    const std::map<std::string, DeltaSet>& pending,
-                   JoinIndexCache* index_cache, CountMap* out);
+                   Overlays* overlays, CountMap* out);
 
   Catalog* catalog_;
   std::vector<ConjunctiveRule> rules_;
@@ -73,6 +92,9 @@ class IncrementalEngine {
   std::set<std::string> derived_;
   std::map<std::string, std::vector<size_t>> rules_of_;  // head relation -> rule ids
   std::map<std::string, CountMap> counts_;
+  /// Join indexes over base and derived tables, kept across batches:
+  /// built by Initialize, extended at each commit.
+  JoinIndexCache index_cache_;
   bool initialized_ = false;
 };
 

@@ -1,8 +1,10 @@
 #include "query/evaluator.h"
 
+#include <algorithm>
 #include <cassert>
 
 #include "util/logging.h"
+#include "util/metrics.h"
 #include "util/parallel.h"
 #include "util/thread_pool.h"
 
@@ -14,20 +16,36 @@ const JoinIndexCache::SharedIndex* JoinIndexCache::Get(
   auto it = cache_.find(key);
   if (it != cache_.end()) return it->second.get();
   auto index = std::make_unique<SharedIndex>();
-  const size_t cap = table->capacity();
-  for (size_t row = 0; row < cap; ++row) {
-    int64_t id = static_cast<int64_t>(row);
-    if (!table->is_live(id)) continue;
-    // Refs read the frozen column arrays in place; nothing is copied.
-    Tuple key_tuple;
-    for (int pos : positions) {
-      key_tuple.Append(table->ValueAt(id, static_cast<size_t>(pos)));
-    }
-    index->map[key_tuple].emplace_back(table->ref(id), 1);
-  }
+  index->table = table;
+  index->positions = positions;
+  Extend(index.get());
   const SharedIndex* out = index.get();
   cache_.emplace(std::move(key), std::move(index));
   return out;
+}
+
+void JoinIndexCache::CatchUp() {
+  for (auto& [key, index] : cache_) Extend(index.get());
+}
+
+void JoinIndexCache::Extend(SharedIndex* index) {
+  const Table* table = index->table;
+  const size_t cap = table->capacity();
+  if (cap < index->rows_indexed) {
+    index->map.clear();
+    index->rows_indexed = 0;
+  }
+  for (size_t row = index->rows_indexed; row < cap; ++row) {
+    // Cells are read in place from the column arrays.
+    const int64_t id = static_cast<int64_t>(row);
+    Tuple key_tuple;
+    for (int pos : index->positions) {
+      key_tuple.Append(table->ValueAt(id, static_cast<size_t>(pos)));
+    }
+    index->map[key_tuple].push_back(id);
+  }
+  DD_COUNTER_ADD("dd.grounding.index_rows_built", cap - index->rows_indexed);
+  index->rows_indexed = cap;
 }
 
 Status CompiledConjunction::Build(std::vector<AtomInput> atoms,
@@ -157,21 +175,62 @@ const CompiledConjunction::Index& CompiledConjunction::GetIndex(size_t depth) co
   Index& index = indexes_[depth];
   if (index.built) return index;
   const AtomPlan& plan = atoms_[depth];
-  const Table* table = plan.source->backing_table();
-  if (index_cache_ != nullptr && table != nullptr) {
-    index.shared = index_cache_->Get(table, plan.bound_positions);
-    index.built = true;
-    return index;
-  }
-  plan.source->ForEach([&](const RowRef& t, int64_t count) {
+  size_t own_rows = 0;
+  auto add_own = [&](const RowRef& t, int64_t count) {
     if (t.size() != plan.terms.size()) return;  // arity mismatch: no match
     Tuple key;
     for (int pos : plan.bound_positions) key.Append(t.at(static_cast<size_t>(pos)));
     // The ref's storage (frozen table or delta-map key) outlives the index.
     index.map[key].emplace_back(t, count);
-  });
+    ++own_rows;
+  };
+  const Table* table = plan.source->backing_table();
+  if (index_cache_ != nullptr && table != nullptr) {
+    index.shared = index_cache_->Get(table, plan.bound_positions);
+    index.erased = plan.source->erased_rows();
+    plan.source->ForEachInserted(add_own);
+  } else {
+    plan.source->ForEach(add_own);
+  }
+  DD_COUNTER_ADD("dd.grounding.index_rows_built", own_rows);
   index.built = true;
   return index;
+}
+
+CompiledConjunction::Matches CompiledConjunction::Lookup(size_t depth,
+                                                         const Tuple& key) const {
+  const Index& index = GetIndex(depth);
+  Matches m;
+  if (index.shared != nullptr) {
+    auto it = index.shared->map.find(key);
+    if (it != index.shared->map.end()) {
+      m.shared = &it->second;
+      m.table = index.shared->table;
+      m.erased = index.erased;
+    }
+  }
+  if (!index.map.empty()) {
+    auto it = index.map.find(key);
+    if (it != index.map.end()) m.own = &it->second;
+  }
+  return m;
+}
+
+void CompiledConjunction::TryMatches(size_t depth, const Matches& m, size_t begin,
+                                     size_t end, std::vector<Value>& slots,
+                                     int64_t mult, const BindingEmit& emit) const {
+  const size_t shared_end = std::min(end, m.shared_size());
+  for (size_t i = begin; i < shared_end; ++i) {
+    const int64_t row = (*m.shared)[i];
+    if (!m.table->is_live(row)) continue;
+    if (m.erased != nullptr && m.erased->count(row) > 0) continue;
+    TryRow(depth, m.table->ref(row), 1, slots, mult, emit);
+  }
+  const size_t own_end = std::min(end, m.size());
+  for (size_t i = std::max(begin, m.shared_size()); i < own_end; ++i) {
+    const auto& [row, count] = (*m.own)[i - m.shared_size()];
+    TryRow(depth, row, count, slots, mult, emit);
+  }
 }
 
 void CompiledConjunction::Run(const BindingEmit& emit) const {
@@ -185,26 +244,21 @@ void CompiledConjunction::PrepareIndexes() const {
   }
 }
 
-const JoinIndexCache::MatchList* CompiledConjunction::TopLevelRows() const {
-  if (atoms_.empty() || atoms_[0].all_bound) return nullptr;
+CompiledConjunction::Matches CompiledConjunction::TopLevelRows() const {
+  if (atoms_.empty() || atoms_[0].all_bound) return Matches();
   const AtomPlan& plan = atoms_[0];
-  const Index& index = GetIndex(0);
   // At depth 0 nothing is bound yet, so bound_positions are all constant
   // terms; the key is the same for the whole enumeration.
   Tuple key;
   for (int pos : plan.bound_positions) {
     key.Append(plan.terms[static_cast<size_t>(pos)].constant);
   }
-  const auto& index_map = index.shared != nullptr ? index.shared->map : index.map;
-  auto it = index_map.find(key);
-  if (it == index_map.end()) return nullptr;
-  return &it->second;
+  return Lookup(0, key);
 }
 
 size_t CompiledConjunction::TopLevelSize() const {
   if (atoms_.empty() || atoms_[0].all_bound) return 1;
-  const auto* rows = TopLevelRows();
-  return rows == nullptr ? 0 : rows->size();
+  return TopLevelRows().size();
 }
 
 void CompiledConjunction::RunMorsel(size_t begin, size_t end,
@@ -216,12 +270,7 @@ void CompiledConjunction::RunMorsel(size_t begin, size_t end,
     if (begin == 0) Recurse(0, slots, 1, emit);
     return;
   }
-  const auto* rows = TopLevelRows();
-  if (rows == nullptr) return;
-  if (end > rows->size()) end = rows->size();
-  for (size_t i = begin; i < end; ++i) {
-    TryRow(0, (*rows)[i].first, (*rows)[i].second, slots, 1, emit);
-  }
+  TryMatches(0, TopLevelRows(), begin, end, slots, 1, emit);
 }
 
 void CompiledConjunction::Recurse(size_t depth, std::vector<Value>& slots, int64_t mult,
@@ -258,19 +307,13 @@ void CompiledConjunction::Recurse(size_t depth, std::vector<Value>& slots, int64
   }
 
   // Enumerate matching rows via the index on bound positions.
-  const Index& index = GetIndex(depth);
   Tuple key;
   for (int pos : plan.bound_positions) {
     const TermPlan& tp = plan.terms[static_cast<size_t>(pos)];
     key.Append(tp.is_constant ? tp.constant : slots[tp.slot]);
   }
-  const auto& index_map = index.shared != nullptr ? index.shared->map : index.map;
-  auto it = index_map.find(key);
-  if (it == index_map.end()) return;
-
-  for (const auto& [row, count] : it->second) {
-    TryRow(depth, row, count, slots, mult, emit);
-  }
+  const Matches m = Lookup(depth, key);
+  TryMatches(depth, m, 0, m.size(), slots, mult, emit);
 }
 
 void CompiledConjunction::TryRow(size_t depth, const RowRef& row, int64_t count,
@@ -341,9 +384,10 @@ Status RuleEvaluator::Compile(const ConjunctiveRule& rule, JoinIndexCache* cache
 
 Status RuleEvaluator::Evaluate(const ConjunctiveRule& rule,
                                const std::function<void(const Tuple&)>& emit,
-                               const EvalParallelism& par) const {
+                               const EvalParallelism& par,
+                               JoinIndexCache* cache) const {
   CompiledRule cr;
-  DD_RETURN_IF_ERROR(Compile(rule, nullptr, &cr));
+  DD_RETURN_IF_ERROR(Compile(rule, cache, &cr));
   const CompiledConjunction& cc = cr.cc;
 
   if (par.pool != nullptr) {

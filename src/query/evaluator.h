@@ -2,12 +2,12 @@
 #define DEEPDIVE_QUERY_EVALUATOR_H_
 
 #include <functional>
+#include <map>
 #include <memory>
 #include <string>
 #include <unordered_map>
+#include <unordered_set>
 #include <vector>
-
-#include <map>
 
 #include "query/rule.h"
 #include "query/source.h"
@@ -31,24 +31,38 @@ struct AtomInput {
 /// the signed multiplicity (product of source counts along the join).
 using BindingEmit = std::function<void(const std::vector<Value>& slots, int64_t mult)>;
 
-/// Shared hash indexes over frozen tables, keyed by (table, key
-/// positions). Lets repeated delta joins over the same relations reuse
-/// one index instead of rebuilding per join — the difference between
-/// O(|delta|) and O(|R|) incremental maintenance. The cache must not
-/// outlive a mutation of any indexed table.
+/// Hash indexes over tables, keyed by (table, key positions) and shared
+/// by every join that probes the same table on the same positions. A
+/// cache may live one frozen round (DatalogEngine) or across batches
+/// (IncrementalEngine): an index lists row ids and keeps tombstoned rows
+/// — readers skip rows that are not live — so a table's erasures and
+/// revivals need no index update and its growth needs only CatchUp(),
+/// which indexes the rows appended since. That is what makes a DRed
+/// batch cost O(|delta|) instead of O(|R|) per probed table. Call
+/// CatchUp() after mutating an indexed table and before the next probe.
 class JoinIndexCache {
  public:
-  /// Rows matching one key: zero-copy refs into frozen columnar storage.
-  using MatchList = std::vector<std::pair<RowRef, int64_t>>;
+  /// Row ids with one key, ascending (tombstones included).
+  using RowList = std::vector<int64_t>;
 
   struct SharedIndex {
-    std::unordered_map<Tuple, MatchList, TupleHash> map;
+    const Table* table = nullptr;
+    std::vector<int> positions;
+    size_t rows_indexed = 0;  ///< rows [0, rows_indexed) are in `map`
+    std::unordered_map<Tuple, RowList, TupleHash> map;
   };
 
   /// Index of `table` on `positions` (built on first request).
   const SharedIndex* Get(const Table* table, const std::vector<int>& positions);
 
+  /// Index every row appended to an indexed table since its last build.
+  void CatchUp();
+
  private:
+  /// Index rows [rows_indexed, capacity); rebuild if the table shrank
+  /// (a Table::Clear renumbers its rows).
+  static void Extend(SharedIndex* index);
+
   std::map<std::pair<const Table*, std::vector<int>>, std::unique_ptr<SharedIndex>>
       cache_;
 };
@@ -130,13 +144,31 @@ class CompiledConjunction {
     int lhs_slot = -1, rhs_slot = -1;
     CmpOp op = CmpOp::kEq;
   };
+  /// Rows matching one key: zero-copy refs into the source's stable
+  /// storage (columnar table rows or delta-map keys).
+  using MatchList = std::vector<std::pair<RowRef, int64_t>>;
   /// Hash index on an atom's bound positions: key tuple -> matching rows.
-  /// Match lists hold RowRefs into the source's stable storage (columnar
-  /// table rows or delta-map keys), so nothing is copied per row.
+  /// With a shared (cache-owned) index over the source's backing table,
+  /// a key's matches are the shared rows that are live and not erased,
+  /// then the private `map` rows (the source's inserted rows); without
+  /// one, `map` holds every row of the source.
   struct Index {
     bool built = false;
-    const JoinIndexCache::SharedIndex* shared = nullptr;  // cache-owned
-    std::unordered_map<Tuple, JoinIndexCache::MatchList, TupleHash> map;
+    const JoinIndexCache::SharedIndex* shared = nullptr;
+    const std::unordered_set<int64_t>* erased = nullptr;
+    std::unordered_map<Tuple, MatchList, TupleHash> map;
+  };
+  /// One key's matches: the shared row list followed by the private list.
+  /// Unit i < shared size is shared row i (skipped unless visible); the
+  /// rest index the private list, so [0, size()) is the enumeration order.
+  struct Matches {
+    const JoinIndexCache::RowList* shared = nullptr;
+    const Table* table = nullptr;
+    const std::unordered_set<int64_t>* erased = nullptr;
+    const MatchList* own = nullptr;
+
+    size_t shared_size() const { return shared == nullptr ? 0 : shared->size(); }
+    size_t size() const { return shared_size() + (own == nullptr ? 0 : own->size()); }
   };
 
   void Recurse(size_t depth, std::vector<Value>& slots, int64_t mult,
@@ -147,9 +179,15 @@ class CompiledConjunction {
               std::vector<Value>& slots, int64_t mult, const BindingEmit& emit) const;
   bool CheckCondition(const ConditionPlan& c, const std::vector<Value>& slots) const;
   const Index& GetIndex(size_t depth) const;
-  /// Match list of the first atom's index (key built from constants
-  /// only), or nullptr when the first atom is a probe / body is empty.
-  const JoinIndexCache::MatchList* TopLevelRows() const;
+  /// Matches of `key` in the index at `depth` (built on first use).
+  Matches Lookup(size_t depth, const Tuple& key) const;
+  /// TryRow over match units [begin, end) of `m`, in order.
+  void TryMatches(size_t depth, const Matches& m, size_t begin, size_t end,
+                  std::vector<Value>& slots, int64_t mult,
+                  const BindingEmit& emit) const;
+  /// Matches of the first atom (key built from constants only); empty
+  /// when the first atom is a probe or the body is empty.
+  Matches TopLevelRows() const;
 
   std::vector<AtomPlan> atoms_;
   std::vector<ConditionPlan> conditions_;
@@ -210,9 +248,11 @@ class RuleEvaluator {
   /// per derivation. With non-serial `par`, the join runs morsel-
   /// parallel but emit is still called on this thread, in the exact
   /// order the serial evaluation would produce.
+  /// A non-null `cache` supplies (and keeps) the join indexes.
   Status Evaluate(const ConjunctiveRule& rule,
                   const std::function<void(const Tuple&)>& emit,
-                  const EvalParallelism& par = EvalParallelism()) const;
+                  const EvalParallelism& par = EvalParallelism(),
+                  JoinIndexCache* cache = nullptr) const;
 
   /// Project a head tuple out of a slot assignment.
   static Tuple ProjectHead(const Atom& head, const CompiledConjunction& cc,

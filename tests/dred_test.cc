@@ -1,12 +1,17 @@
 #include <gtest/gtest.h>
 
+#include <map>
 #include <set>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "query/datalog.h"
 #include "query/dred.h"
 #include "query/rule.h"
 #include "storage/catalog.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 
 namespace dd {
 namespace {
@@ -187,9 +192,12 @@ TEST_F(DredTest, TwoLevelPropagation) {
   EXPECT_FALSE(w->Contains(T1(1)));
 }
 
-// Property test: random insert/delete workloads give a final state
-// identical to evaluating the program from scratch on the final base
-// tables. Sweeps several program shapes.
+// Property test: random multi-step insert/delete/re-insert workloads.
+// After every step, the derived tables equal a from-scratch evaluation
+// of the program on the current base tables, and every derivation count
+// equals a brute-force count over the base rows. A re-inserted tuple
+// must come back at its old row id (grounding keys variables and cached
+// factor drafts by row id). Sweeps several workload lengths.
 struct RandomWorkloadParam {
   uint64_t seed;
   int num_ops;
@@ -197,15 +205,63 @@ struct RandomWorkloadParam {
 
 class DredPropertyTest : public ::testing::TestWithParam<RandomWorkloadParam> {};
 
+void ExpectMatchesReference(Catalog* inc_catalog, const IncrementalEngine& engine,
+                            const std::vector<ConjunctiveRule>& rules, int64_t domain,
+                            const std::string& where) {
+  const std::vector<Tuple> r_rows = (*inc_catalog->GetTable("R"))->Scan();
+  const std::vector<Tuple> s_rows = (*inc_catalog->GetTable("S"))->Scan();
+
+  // Reference tables: evaluate from scratch on copies of the base tables.
+  Catalog ref_catalog;
+  Table* ref_r = *ref_catalog.CreateTable("R", Int2());
+  Table* ref_s = *ref_catalog.CreateTable("S", Int1());
+  ASSERT_TRUE(ref_catalog.CreateTable("Q", Int1()).ok());
+  ASSERT_TRUE(ref_catalog.CreateTable("W", Int1()).ok());
+  for (const Tuple& t : r_rows) ASSERT_TRUE(ref_r->Insert(t).ok());
+  for (const Tuple& t : s_rows) ASSERT_TRUE(ref_s->Insert(t).ok());
+  DatalogEngine full(&ref_catalog);
+  ASSERT_TRUE(full.Evaluate(rules).ok());
+  for (const char* rel : {"Q", "W"}) {
+    auto inc_rows = (*inc_catalog->GetTable(rel))->Scan();
+    auto ref_rows = (*ref_catalog.GetTable(rel))->Scan();
+    std::set<Tuple> inc_set(inc_rows.begin(), inc_rows.end());
+    std::set<Tuple> ref_set(ref_rows.begin(), ref_rows.end());
+    EXPECT_EQ(inc_set, ref_set) << "relation " << rel << " diverged at " << where;
+  }
+
+  // Reference counts, by brute force over the base rows:
+  //   Q(x) has one derivation per R(x, y) with S(y);
+  //   W(x) has one per R(x, y), if Q(x) has none.
+  std::set<int64_t> s_set;
+  for (const Tuple& t : s_rows) s_set.insert(t.at(0).AsInt());
+  std::map<int64_t, int64_t> q_count, w_count;
+  for (const Tuple& t : r_rows) {
+    if (s_set.count(t.at(1).AsInt()) > 0) ++q_count[t.at(0).AsInt()];
+  }
+  for (const Tuple& t : r_rows) {
+    if (q_count.count(t.at(0).AsInt()) == 0) ++w_count[t.at(0).AsInt()];
+  }
+  for (int64_t x = -1; x <= domain + 1; ++x) {
+    EXPECT_EQ(engine.DerivationCount("Q", T1(x)), q_count.count(x) ? q_count[x] : 0)
+        << "Q(" << x << ") at " << where;
+    EXPECT_EQ(engine.DerivationCount("W", T1(x)), w_count.count(x) ? w_count[x] : 0)
+        << "W(" << x << ") at " << where;
+  }
+}
+
 TEST_P(DredPropertyTest, MatchesFullEvaluation) {
   const auto param = GetParam();
   Rng rng(param.seed);
 
-  Catalog inc_catalog;
-  Table* r = *inc_catalog.CreateTable("R", Int2());
-  Table* s = *inc_catalog.CreateTable("S", Int1());
-  ASSERT_TRUE(inc_catalog.CreateTable("Q", Int1()).ok());
-  ASSERT_TRUE(inc_catalog.CreateTable("W", Int1()).ok());
+  // The same steps drive a serial engine and a morsel-parallel one with
+  // one-row morsels; the parallel catalog must match row for row.
+  Catalog inc_catalog, par_catalog;
+  for (Catalog* catalog : {&inc_catalog, &par_catalog}) {
+    ASSERT_TRUE(catalog->CreateTable("R", Int2()).ok());
+    ASSERT_TRUE(catalog->CreateTable("S", Int1()).ok());
+    ASSERT_TRUE(catalog->CreateTable("Q", Int1()).ok());
+    ASSERT_TRUE(catalog->CreateTable("W", Int1()).ok());
+  }
 
   // Program with a join, a negation, and two levels:
   //   Q(x) :- R(x, y), S(y).
@@ -220,12 +276,23 @@ TEST_P(DredPropertyTest, MatchesFullEvaluation) {
 
   IncrementalEngine engine(&inc_catalog, rules);
   ASSERT_TRUE(engine.Initialize().ok());
+  ThreadPool pool(3);
+  IncrementalEngine par_engine(&par_catalog, rules, EvalParallelism{&pool, 1});
+  ASSERT_TRUE(par_engine.Initialize().ok());
 
   const int64_t domain = 6;  // small domain to force collisions
+  std::vector<std::pair<std::string, Tuple>> removed;  // deleted base tuples
   for (int op = 0; op < param.num_ops; ++op) {
     std::map<std::string, DeltaSet> delta;
     int n_changes = 1 + static_cast<int>(rng.NextBounded(3));
     for (int c = 0; c < n_changes; ++c) {
+      if (!removed.empty() && rng.NextBernoulli(0.3)) {
+        // Re-insert a tuple an earlier step deleted.
+        const size_t i = rng.NextBounded(removed.size());
+        delta[removed[i].first][removed[i].second] = 1;
+        removed.erase(removed.begin() + static_cast<std::ptrdiff_t>(i));
+        continue;
+      }
       bool on_r = rng.NextBernoulli(0.6);
       bool insert = rng.NextBernoulli(0.55);
       if (on_r) {
@@ -236,28 +303,41 @@ TEST_P(DredPropertyTest, MatchesFullEvaluation) {
         delta["S"][t] = insert ? 1 : -1;
       }
     }
+    // Before applying: which deletions remove a present tuple, and the
+    // row id of every tombstoned tuple the step revives.
+    std::vector<std::pair<std::string, Tuple>> deleted;
+    std::map<std::pair<std::string, Tuple>, int64_t> revived;
+    for (const auto& [rel, d] : delta) {
+      const Table* table = *inc_catalog.GetTable(rel);
+      for (const auto& [t, count] : d) {
+        if (count < 0 && table->Contains(t)) deleted.emplace_back(rel, t);
+        const int64_t old_row = table->FindIncludingDeleted(t);
+        if (count > 0 && old_row >= 0 && !table->Contains(t)) revived[{rel, t}] = old_row;
+      }
+    }
     auto applied = engine.ApplyDeltas(delta);
     ASSERT_TRUE(applied.ok()) << applied.status().ToString();
-  }
-
-  // Reference: evaluate from scratch on copies of the final base tables.
-  Catalog ref_catalog;
-  Table* ref_r = *ref_catalog.CreateTable("R", Int2());
-  Table* ref_s = *ref_catalog.CreateTable("S", Int1());
-  ASSERT_TRUE(ref_catalog.CreateTable("Q", Int1()).ok());
-  ASSERT_TRUE(ref_catalog.CreateTable("W", Int1()).ok());
-  for (const Tuple& t : r->Scan()) ASSERT_TRUE(ref_r->Insert(t).ok());
-  for (const Tuple& t : s->Scan()) ASSERT_TRUE(ref_s->Insert(t).ok());
-  DatalogEngine full(&ref_catalog);
-  ASSERT_TRUE(full.Evaluate(rules).ok());
-
-  for (const char* rel : {"Q", "W"}) {
-    auto inc_rows = (*inc_catalog.GetTable(rel))->Scan();
-    auto ref_rows = (*ref_catalog.GetTable(rel))->Scan();
-    std::set<Tuple> inc_set(inc_rows.begin(), inc_rows.end());
-    std::set<Tuple> ref_set(ref_rows.begin(), ref_rows.end());
-    EXPECT_EQ(inc_set, ref_set) << "relation " << rel << " diverged (seed "
-                                << param.seed << ")";
+    auto par_applied = par_engine.ApplyDeltas(delta);
+    ASSERT_TRUE(par_applied.ok()) << par_applied.status().ToString();
+    for (const char* rel : {"R", "S", "Q", "W"}) {
+      const Table* a = *inc_catalog.GetTable(rel);
+      const Table* b = *par_catalog.GetTable(rel);
+      ASSERT_EQ(a->capacity(), b->capacity()) << rel;
+      for (size_t row = 0; row < a->capacity(); ++row) {
+        const int64_t id = static_cast<int64_t>(row);
+        EXPECT_EQ(a->row(id), b->row(id)) << rel << " row " << row;
+        EXPECT_EQ(a->is_live(id), b->is_live(id)) << rel << " row " << row;
+      }
+    }
+    for (const auto& [key, old_row] : revived) {
+      EXPECT_EQ((*inc_catalog.GetTable(key.first))->Find(key.second), old_row)
+          << key.first << key.second.ToString() << " revived at a new row id";
+    }
+    removed.insert(removed.end(), deleted.begin(), deleted.end());
+    ExpectMatchesReference(&inc_catalog, engine, rules, domain,
+                           "step " + std::to_string(op) + " (seed " +
+                               std::to_string(param.seed) + ")");
+    if (HasFailure()) return;
   }
 }
 
