@@ -63,7 +63,7 @@ void Tracer::Record(SpanRecord&& record) {
 
 std::vector<Tracer::SpanRecord> Tracer::Records() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return records_;
+  return {records_.begin(), records_.end()};
 }
 
 uint64_t Tracer::dropped() const {

@@ -17,6 +17,7 @@
 
 #include <chrono>
 #include <cstdint>
+#include <deque>
 #include <mutex>
 #include <string>
 #include <utility>
@@ -67,7 +68,10 @@ class Tracer {
   }
 
   mutable std::mutex mu_;
-  std::vector<SpanRecord> records_;
+  // A deque grows without copying what it holds: every span of a run
+  // stays here, and a vector's doubling would briefly hold the buffer
+  // twice, raising the process's peak RSS with the number of spans.
+  std::deque<SpanRecord> records_;
   uint64_t dropped_ = 0;
   std::chrono::steady_clock::time_point epoch_;
 };
