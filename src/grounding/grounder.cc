@@ -182,6 +182,18 @@ Status Grounder::CreateDerivedTables() {
 }
 
 Status Grounder::ClearDerivedTables() {
+  // Query rows are renumbered by the clear: keep each registered tuple
+  // with its var id, so variable ids keep their meaning across a full
+  // re-evaluation just as they do across DRed rounds.
+  for (QueryRelation& q : query_relations_) {
+    DD_ASSIGN_OR_RETURN(const Table* table, catalog_->GetTable(q.name));
+    for (size_t row = 0; row < q.row_var.size(); ++row) {
+      if (q.row_var[row] == kNoVar) continue;
+      q.carried.emplace_back(table->row(static_cast<int64_t>(row)), q.row_var[row]);
+    }
+    q.row_var.clear();
+    q.rows_seen = 0;
+  }
   std::set<std::string> derived;
   for (const ConjunctiveRule& rule : rewritten_rules_) derived.insert(rule.head.relation);
   for (const std::string& rel : derived) {
@@ -417,6 +429,16 @@ Status Grounder::ExtendVarRegistry(const std::map<std::string, DeltaSet>* deltas
       }
     }
     if (q.row_var.size() < cap) q.row_var.resize(cap, kNoVar);
+    for (const auto& [tuple, var] : q.carried) {
+      const int64_t row = table->Find(tuple);
+      if (row < 0) {
+        var_info_[var].live = false;
+        continue;
+      }
+      q.row_var[static_cast<size_t>(row)] = var;
+      var_info_[var].row_id = row;
+    }
+    q.carried.clear();
     auto visit = [&](int64_t row) {
       uint32_t& var = q.row_var[static_cast<size_t>(row)];
       if (!table->is_live(row)) {

@@ -220,6 +220,10 @@ class Grounder {
     /// live at a registry pass.
     std::vector<uint32_t> row_var;
     size_t rows_seen = 0;  ///< rows [0, rows_seen) visited by a pass
+    /// Registered tuples and their var ids, kept while ClearDerivedTables
+    /// renumbers the rows; the next registry pass re-binds each tuple
+    /// that is back to its old id and marks the others dead.
+    std::vector<std::pair<Tuple, uint32_t>> carried;
     std::vector<EvidenceRow> evidence;  ///< by `<name>_Ev` row id
     std::vector<int64_t> orphans;       ///< evidence rows to retry each round
   };
@@ -230,7 +234,8 @@ class Grounder {
   Status RewriteRules();
   Status CreateDerivedTables();
   /// Clear every derived table (they must start empty for evaluation),
-  /// and with their row ids every draft and evidence cache.
+  /// and with their row ids every draft and evidence cache. The variable
+  /// registry is carried over by tuple.
   Status ClearDerivedTables();
   /// Build the factor graph as a TaskGraph of registry / evidence /
   /// draft / assemble nodes. With a non-null `eval_strat` (recursive

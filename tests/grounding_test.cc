@@ -58,6 +58,40 @@ class GrounderTest : public ::testing::Test {
         ev->Insert(Tuple({Value::Int(a), Value::Int(b), Value::Bool(label)})).ok());
   }
 
+  /// "relation(tuple)" of every live variable, checking on the way that
+  /// the variable's row holds its tuple and that VarIdFor maps it back.
+  static std::multiset<std::string> LiveFacts(const Grounder& grounder,
+                                              const Catalog& catalog) {
+    std::multiset<std::string> facts;
+    const auto& vars = grounder.var_info();
+    for (uint32_t v = 0; v < vars.size(); ++v) {
+      if (!vars[v].live) continue;
+      const Table* table = *catalog.GetTable(vars[v].relation);
+      EXPECT_LT(static_cast<size_t>(vars[v].row_id), table->capacity()) << "var " << v;
+      if (static_cast<size_t>(vars[v].row_id) >= table->capacity()) continue;
+      EXPECT_TRUE(table->is_live(vars[v].row_id)) << "var " << v;
+      const Tuple tuple = table->row(vars[v].row_id);
+      EXPECT_EQ(grounder.VarIdFor(vars[v].relation, tuple), v);
+      facts.insert(vars[v].relation + tuple.ToString());
+    }
+    return facts;
+  }
+
+  /// A fresh grounder over copies of the current base tables must see
+  /// the same live facts, factors and weights as `grounder`.
+  void ExpectMatchesFreshGrounder(const Grounder& grounder) {
+    Catalog ref;
+    Table* rt = *ref.CreateTable("Token", token_->schema());
+    Table* rp = *ref.CreateTable("Pair", pair_->schema());
+    for (const Tuple& t : token_->Scan()) ASSERT_TRUE(rt->Insert(t).ok());
+    for (const Tuple& t : pair_->Scan()) ASSERT_TRUE(rp->Insert(t).ok());
+    Grounder fresh(&ref, &program_, &udfs_);
+    ASSERT_TRUE(fresh.Initialize().ok());
+    EXPECT_EQ(LiveFacts(grounder, catalog_), LiveFacts(fresh, ref));
+    EXPECT_EQ(grounder.stats().num_factors, fresh.stats().num_factors);
+    EXPECT_EQ(grounder.stats().num_weights, fresh.stats().num_weights);
+  }
+
   Catalog catalog_;
   DdlogProgram program_;
   UdfRegistry udfs_;
@@ -167,6 +201,72 @@ TEST_F(GrounderTest, IncrementalMatchesReground) {
   EXPECT_EQ(fresh.stats().num_weights, grounder.stats().num_weights);
   // Live variable count matches (the incremental one has no deletions here).
   EXPECT_EQ(fresh.stats().num_variables, grounder.stats().num_variables);
+}
+
+TEST_F(GrounderTest, RegroundRebuildsRegistryByTuple) {
+  // Reground renumbers the query rows; the registry must follow the
+  // tuples, not the old row ids. Three pairs, delete the one in Q's
+  // first row, reground: two live variables over two rows (none past
+  // the new capacity), the survivors under their old ids.
+  AddPair(1, 10, 20);
+  AddPair(2, 30, 40);
+  AddPair(3, 50, 60);
+  AddToken(1, "married");
+  AddToken(2, "wife");
+  AddToken(3, "met");
+  Grounder grounder(&catalog_, &program_, &udfs_);
+  ASSERT_TRUE(grounder.Initialize().ok());
+  const Table* q_table = *catalog_.GetTable("Q");
+  const Tuple victim = q_table->row(0);
+  Tuple victim_pair;
+  std::map<int64_t, Tuple> survivors;  // var id -> tuple
+  for (const Tuple& p : pair_->Scan()) {
+    const Tuple q({p.at(1), p.at(2)});
+    if (q == victim) {
+      victim_pair = p;
+    } else {
+      survivors.emplace(grounder.VarIdFor("Q", q), q);
+    }
+  }
+  ASSERT_EQ(survivors.size(), 2u);
+
+  std::map<std::string, DeltaSet> delta;
+  delta["Pair"][victim_pair] = -1;
+  ASSERT_TRUE(grounder.ApplyDeltas(delta).ok());
+  ASSERT_TRUE(grounder.Reground().ok());
+  ExpectMatchesFreshGrounder(grounder);
+  EXPECT_EQ(LiveFacts(grounder, catalog_).size(), 2u);
+  EXPECT_EQ(grounder.stats().num_factors, 2u);
+  EXPECT_EQ(grounder.VarIdFor("Q", victim), -1);
+  for (const auto& [var, tuple] : survivors) {
+    EXPECT_EQ(grounder.VarIdFor("Q", tuple), var) << tuple.ToString();
+  }
+
+  // A deletion straight in the base table, then a new pair: the new
+  // tuple gets a new id, the survivor keeps its own.
+  const auto [gone_var, gone] = *survivors.begin();
+  const auto [kept_var, kept] = *survivors.rbegin();
+  for (const Tuple& p : pair_->Scan()) {
+    if (Tuple({p.at(1), p.at(2)}) == gone) {
+      ASSERT_TRUE(pair_->Erase(p));
+    }
+  }
+  AddPair(4, 70, 80);
+  AddToken(4, "married");
+  ASSERT_TRUE(grounder.Reground().ok());
+  ExpectMatchesFreshGrounder(grounder);
+  EXPECT_EQ(grounder.VarIdFor("Q", gone), -1);
+  EXPECT_EQ(grounder.VarIdFor("Q", kept), kept_var);
+  EXPECT_EQ(grounder.VarIdFor("Q", Tuple({Value::Int(70), Value::Int(80)})),
+            static_cast<int64_t>(grounder.var_info().size()) - 1);
+  EXPECT_NE(gone_var, kept_var);
+
+  // DRed rounds after a Reground keep matching a fresh grounder.
+  delta.clear();
+  delta["Pair"][Tuple({Value::Int(5), Value::Int(90), Value::Int(91)})] = 1;
+  delta["Pair"][Tuple({Value::Int(4), Value::Int(70), Value::Int(80)})] = -1;
+  ASSERT_TRUE(grounder.ApplyDeltas(delta).ok());
+  ExpectMatchesFreshGrounder(grounder);
 }
 
 TEST_F(GrounderTest, FailedDraftIsRetriedNextRound) {
