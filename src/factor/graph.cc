@@ -34,20 +34,21 @@ uint32_t FactorGraph::AddWeight(double initial_value, bool is_fixed,
 void FactorGraph::set_weight_value(uint32_t w, double value) {
   weight_values_[w] = value;
   weights_[w].value = value;
-  // A weight folded into a per-variable bias constant (possible only for
-  // fixed weights, which learners never touch) invalidates the fold;
-  // recompile the streams so the bias stays exact.
-  if (finalized_ && w < weight_in_bias_.size() && weight_in_bias_[w]) {
-    CompileKernels();
-  }
+  if (finalized_) RefoldBiases();
 }
 
 void FactorGraph::set_weight_values(const std::vector<double>& values) {
+  // Write every changed value first, then refold once: a learning epoch
+  // installs its whole model here and pays O(folded ops), not one refold
+  // per weight.
+  bool changed = false;
   for (uint32_t w = 0; w < values.size(); ++w) {
-    if (std::memcmp(&values[w], &weight_values_[w], sizeof(double)) != 0) {
-      set_weight_value(w, values[w]);
-    }
+    if (std::memcmp(&values[w], &weight_values_[w], sizeof(double)) == 0) continue;
+    weight_values_[w] = values[w];
+    weights_[w].value = values[w];
+    changed = true;
   }
+  if (finalized_ && changed) RefoldBiases();
 }
 
 Status FactorGraph::AddFactor(FactorFunc func, uint32_t weight_id,
@@ -89,6 +90,9 @@ Status FactorGraph::Finalize() {
   if (nv >= (1u << 30)) {
     return Status::InvalidArgument(
         "kernel stream literal encoding supports < 2^30 variables");
+  }
+  if (num_weights() >= (1u << 31)) {
+    return Status::InvalidArgument("bias fold encoding supports < 2^31 weights");
   }
 
   // Counting sort of (var -> factor) edges, deduplicated per factor so a
@@ -154,11 +158,14 @@ Status FactorGraph::Finalize() {
 //              express (v in both body and head of an imply)
 //
 // Factors whose delta is provably zero (e.g. v appears with both
-// polarities in an AND) are dropped at compile time. If *every* adjacent
-// factor of v either drops or is a unary op on a fixed weight, the whole
-// stream folds into the var_bias_ constant (summed in the same adjacency
-// order, so the fold is bit-for-bit identical to the interpreted sum)
-// and v's per-sweep delta costs a single array load.
+// polarities in an AND) are dropped at compile time. The maximal leading
+// run of kOpUnary ops of v, fixed or learned weights alike, folds into
+// the var_bias_[v] constant: the kernel starts from 0.0 and adds ops in
+// adjacency order, so a bias summed as 0.0 + sw1 + sw2 + ... followed by
+// the remaining ops is the identical sequence of IEEE additions. A unary
+// op after the first non-unary op stays in the stream (moving it would
+// reassociate the sum). The folded (weight, sign) words are kept per
+// variable, so a weight install refolds every bias in O(folded ops).
 // ---------------------------------------------------------------------------
 
 namespace {
@@ -345,44 +352,42 @@ void FactorGraph::CompileKernels() {
   const size_t nv = num_variables();
   kernel_offsets_.assign(nv + 1, 0);
   kernel_stream_.clear();
-  var_bias_.assign(nv, 0.0);
-  weight_in_bias_.assign(num_weights(), 0);
+  fold_offsets_.assign(nv + 1, 0);
+  fold_words_.clear();
 
-  std::vector<uint32_t> ops;           // scratch: compiled ops for one variable
-  std::vector<uint32_t> op_starts;     // scratch: offset of each op in `ops`
-  std::vector<int> op_signs;           // scratch: ±1 for foldable ops, else 0
   for (uint32_t v = 0; v < nv; ++v) {
-    ops.clear();
-    op_starts.clear();
-    op_signs.clear();
     size_t count = 0;
     const uint32_t* factors = var_factors(v, &count);
-    bool foldable = true;
+    bool in_prefix = true;  // no non-unary op emitted for v yet
     for (size_t i = 0; i < count; ++i) {
-      const uint32_t f = factors[i];
+      const size_t start = kernel_stream_.size();
       int sign = 0;
-      op_starts.push_back(static_cast<uint32_t>(ops.size()));
-      if (!CompileFactorOp(f, v, &ops, &sign)) {
-        op_starts.pop_back();
+      if (!CompileFactorOp(factors[i], v, &kernel_stream_, &sign)) {
         continue;  // provably zero contribution
       }
-      op_signs.push_back(sign);
-      if (sign == 0 || !weights_[factor_weight_[f]].is_fixed) foldable = false;
-    }
-    if (foldable && !op_starts.empty()) {
-      // Every surviving op is ±(fixed weight): fold the entire delta into
-      // a constant, summed in adjacency order for bit-exactness.
-      double bias = 0.0;
-      for (size_t i = 0; i < op_starts.size(); ++i) {
-        const uint32_t widx = ops[op_starts[i] + 1];
-        bias += op_signs[i] > 0 ? weight_values_[widx] : -weight_values_[widx];
-        weight_in_bias_[widx] = 1;
-      }
-      var_bias_[v] = bias;
-    } else {
-      kernel_stream_.insert(kernel_stream_.end(), ops.begin(), ops.end());
+      in_prefix = in_prefix && sign != 0;
+      if (!in_prefix) continue;
+      // Leading unary op: move its (weight, sign) word out of the stream.
+      const uint32_t w = kernel_stream_[start + 1];
+      kernel_stream_.resize(start);
+      fold_words_.push_back(w << 1 | (sign < 0 ? 1u : 0u));
     }
     kernel_offsets_[v + 1] = static_cast<uint32_t>(kernel_stream_.size());
+    fold_offsets_[v + 1] = static_cast<uint32_t>(fold_words_.size());
+  }
+  RefoldBiases();
+}
+
+void FactorGraph::RefoldBiases() {
+  const size_t nv = num_variables();
+  var_bias_.resize(nv);
+  for (size_t v = 0; v < nv; ++v) {
+    double bias = 0.0;
+    for (uint32_t i = fold_offsets_[v]; i < fold_offsets_[v + 1]; ++i) {
+      const double w = weight_values_[fold_words_[i] >> 1];
+      bias += (fold_words_[i] & 1u) ? -w : w;
+    }
+    var_bias_[v] = bias;
   }
 }
 

@@ -79,14 +79,16 @@ class FactorGraph {
   const Weight& weight(uint32_t w) const { return weights_[w]; }
 
   /// Hot-side weight access: the dense SoA array every inference and
-  /// learning loop reads. Writes go through set_weight_value so the cold
-  /// Weight mirror (and any compiled bias folding the weight) stays
-  /// consistent.
+  /// learning loop reads. Writes go through set_weight_value(s) so the
+  /// cold Weight mirror and the compiled biases folding the weight stay
+  /// consistent. A write refolds every bias, so neither setter may race
+  /// with a sampler reading the graph.
   double weight_value(uint32_t w) const { return weight_values_[w]; }
   const std::vector<double>& weight_values() const { return weight_values_; }
   void set_weight_value(uint32_t w, double value);
-  /// Install a whole weight vector (one value per weight id); only the
-  /// weights whose bits change are written.
+  /// Install a whole weight vector (one value per weight id): writes the
+  /// weights whose bits change, then refolds the biases once. Learners
+  /// install each epoch's model through this.
   void set_weight_values(const std::vector<double>& values);
 
   FactorFunc factor_func(uint32_t f) const { return factor_func_[f]; }
@@ -147,6 +149,8 @@ class FactorGraph {
   bool CompileFactorOp(uint32_t f, uint32_t v, std::vector<uint32_t>* out,
                        int* foldable_sign) const;
   void CompileKernels();
+  // var_bias_[v] = 0.0 + the folded ±weights of v, in adjacency order.
+  void RefoldBiases();
 
   // Variables.
   std::vector<uint8_t> var_is_evidence_;
@@ -166,8 +170,9 @@ class FactorGraph {
   // word format is documented in graph.cc next to the op tags.
   std::vector<uint32_t> kernel_offsets_;  // size num_variables+1
   std::vector<uint32_t> kernel_stream_;
-  std::vector<double> var_bias_;        // fully-folded constant deltas
-  std::vector<uint8_t> weight_in_bias_; // weight w folded into some bias?
+  std::vector<double> var_bias_;         // sum of v's folded unary prefix
+  std::vector<uint32_t> fold_offsets_;   // size num_variables+1
+  std::vector<uint32_t> fold_words_;     // folded ops: weight<<1 | negative
   bool finalized_ = false;
 };
 

@@ -50,26 +50,27 @@ int BlockOwner(uint32_t v, size_t nv, int nodes) {
 }
 
 /// One unaware-learner epoch on node `node`: sweep the node's chains
-/// under the shared weights, then a Hogwild-style racy update of the
-/// shared weight per factor while other nodes read and write it too (the
+/// under the graph's weights, then a Hogwild-style racy update of the
+/// shared weight vector per factor while other nodes write it too (the
 /// paper's baseline, so it deliberately bypasses CdStep's replica).
 /// `local_lr` is the epoch's rate split across nodes so the combined
-/// step matches.
-void RacyUnawareEpoch(FactorGraph* graph, const NumaTopology& topology,
+/// step matches. The graph itself is only written at the epoch barrier,
+/// where the shared vector is installed in bulk.
+void RacyUnawareEpoch(const FactorGraph& graph, const NumaTopology& topology,
                       CdChains* chains, int node, int sweeps, double local_lr,
-                      std::atomic<uint64_t>* total_acc,
+                      std::vector<double>* shared, std::atomic<uint64_t>* total_acc,
                       std::atomic<uint64_t>* remote_acc) {
   chains->Sweep(sweeps);
   // Factor f is owned by the node owning its first literal's variable;
   // weight w by node w % nodes (weights are shared model state).
   const int nodes = topology.num_nodes;
   uint64_t acc = 0, remote = 0;
-  ForEachCdTerm(*graph, *chains, UINT32_MAX, [&](uint32_t f, uint32_t w, double term) {
+  ForEachCdTerm(graph, *chains, UINT32_MAX, [&](uint32_t f, uint32_t w, double term) {
     ++acc;
     const bool weight_remote = static_cast<int>(w % nodes) != node;
     size_t nlit = 0;
-    const Literal* lits = graph->factor_literals(f, &nlit);
-    if (nlit > 0 && BlockOwner(lits[0].var, graph->num_variables(), nodes) != node) {
+    const Literal* lits = graph.factor_literals(f, &nlit);
+    if (nlit > 0 && BlockOwner(lits[0].var, graph.num_variables(), nodes) != node) {
       ++remote;  // factor fetch
     }
     if (weight_remote) {
@@ -77,7 +78,7 @@ void RacyUnawareEpoch(FactorGraph* graph, const NumaTopology& topology,
       SpinPenalty(topology.remote_penalty_iters);
     }
     if (term != 0.0) {
-      graph->set_weight_value(w, graph->weight_value(w) + local_lr * term);
+      (*shared)[w] += local_lr * term;
       if (weight_remote) {
         ++remote;
         SpinPenalty(topology.remote_penalty_iters);
@@ -271,22 +272,24 @@ Result<NumaLearnStats> NumaLearner::Learn(const LearnOptions& options, bool numa
   // Non-NUMA-aware: one shared weight vector; every node's gradient pass
   // reads and writes weights wherever they live.
   std::atomic<uint64_t> total_acc{0}, remote_acc{0};
+  std::vector<double> shared = graph_->weight_values();
   for (int epoch = 0; epoch < options.epochs; ++epoch) {
     on_every_node([&](int n) {
-      RacyUnawareEpoch(graph_, topology_, &chains[n], n, options.sweeps_per_epoch,
-                       lr / nodes, &total_acc, &remote_acc);
+      RacyUnawareEpoch(*graph_, topology_, &chains[n], n, options.sweeps_per_epoch,
+                       lr / nodes, &shared, &total_acc, &remote_acc);
     });
     // L2 + decay applied once per epoch on the shared model; the racy
     // per-factor writes above skip the divergence check, so it lands here.
     for (uint32_t w = 0; w < nw; ++w) {
       if (graph_->weight(w).is_fixed) continue;
-      const double value = graph_->weight_value(w);
+      const double value = shared[w];
       const double updated = value - lr * options.l2 * value;
       if (!std::isfinite(updated)) {
         return LearningDiverged(*graph_, epoch, w, updated, -options.l2 * value, lr);
       }
-      graph_->set_weight_value(w, updated);
+      shared[w] = updated;
     }
+    graph_->set_weight_values(shared);
     lr *= options.decay;
   }
   stats.total_accesses = total_acc.load();

@@ -35,6 +35,36 @@ FactorGraph MakeRandomGraph(const SyntheticGraphOptions& options) {
   return graph;
 }
 
+FactorGraph MakeFeatureHeavyGraph(const SyntheticGraphOptions& options) {
+  Rng rng(options.seed);
+  FactorGraph graph;
+  const size_t nv = options.num_variables;
+  for (size_t v = 0; v < nv; ++v) {
+    bool evidence = rng.NextDouble() < options.evidence_fraction;
+    graph.AddVariable(evidence, rng.NextBernoulli(0.5));
+  }
+  for (size_t w = 0; w < options.num_weights; ++w) {
+    graph.AddWeight(rng.NextGaussian() * options.weight_scale, false,
+                    StrFormat("feat%zu", w));
+  }
+  const uint32_t link = graph.AddWeight(rng.NextGaussian(), false, "link");
+  const size_t unary = static_cast<size_t>(options.factors_per_variable + 0.5);
+  for (uint32_t v = 0; v < nv; ++v) {
+    for (size_t k = 0; k < unary; ++k) {
+      const uint32_t weight = static_cast<uint32_t>(rng.NextBounded(options.num_weights));
+      DD_CHECK(graph.AddFactor(FactorFunc::kIsTrue, weight, {{v, rng.NextBernoulli(0.8)}})
+                   .ok());
+    }
+  }
+  for (uint32_t v = 0; v < nv; ++v) {
+    uint32_t u = static_cast<uint32_t>(rng.NextBounded(nv));
+    if (u == v) u = static_cast<uint32_t>((u + 1) % nv);
+    DD_CHECK(graph.AddFactor(FactorFunc::kImply, link, {{u, true}, {v, true}}).ok());
+  }
+  DD_CHECK(graph.Finalize().ok());
+  return graph;
+}
+
 FactorGraph MakeChainGraph(size_t num_variables, double coupling, uint64_t seed) {
   Rng rng(seed);
   FactorGraph graph;

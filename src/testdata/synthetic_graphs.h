@@ -26,6 +26,13 @@ struct SyntheticGraphOptions {
 /// grounded DeepDive programs produce.
 FactorGraph MakeRandomGraph(const SyntheticGraphOptions& options);
 
+/// Feature-heavy graph in the shape KBC grounding produces (the spouse
+/// application's): every variable first gets `factors_per_variable`
+/// unary factors on tied feature weights, then one imply per variable
+/// links it to a random other variable. So each variable's kernel is a
+/// run of learned unary ops followed by about two one-literal guards.
+FactorGraph MakeFeatureHeavyGraph(const SyntheticGraphOptions& options);
+
 /// A chain of implications v0 -> v1 -> ... -> v(n-1) with unary priors;
 /// high correlation, used to stress statistical efficiency.
 FactorGraph MakeChainGraph(size_t num_variables, double coupling, uint64_t seed);

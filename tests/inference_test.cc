@@ -9,6 +9,7 @@
 #include "inference/learner.h"
 #include "inference/meanfield.h"
 #include "inference/numa.h"
+#include "testdata/synthetic_graphs.h"
 #include "util/rng.h"
 
 namespace dd {
@@ -329,6 +330,78 @@ TEST(NumaLearnerTest, BothModesLearnTheBias) {
       EXPECT_GT(stats->remote_accesses, 0u);
     }
   }
+}
+
+TEST(NumaLearnerTest, UnawareInstallsEachEpochInBulk) {
+  LearnOptions opts;
+  opts.epochs = 8;
+  opts.learning_rate = 0.05;
+  opts.seed = 61;
+  // Learned unary factors ahead of the guards: their weights fold into
+  // the variables' biases, so every install must refold them.
+  SyntheticGraphOptions shape;
+  shape.num_variables = 40;
+  shape.factors_per_variable = 3;
+  shape.evidence_fraction = 0.4;
+  shape.num_weights = 6;
+  shape.seed = 3;
+  const FactorGraph initial = MakeFeatureHeavyGraph(shape);
+
+  // One node: the bulk install per epoch must reproduce, bit for bit, a
+  // weight write after every CD term followed by the per-weight L2 step.
+  FactorGraph bulk = initial;
+  NumaTopology one;
+  one.num_nodes = 1;
+  ASSERT_TRUE(NumaLearner(&bulk, one).Learn(opts, false).ok());
+  FactorGraph reference = initial;
+  CdChains chains(&reference, opts.seed, opts.seed + 1);
+  ASSERT_TRUE(chains.Init().ok());
+  double lr = opts.learning_rate;
+  for (int epoch = 0; epoch < opts.epochs; ++epoch) {
+    chains.Sweep(opts.sweeps_per_epoch);
+    ForEachCdTerm(reference, chains, UINT32_MAX, [&](uint32_t, uint32_t w, double term) {
+      if (term != 0.0) reference.set_weight_value(w, reference.weight_value(w) + lr * term);
+    });
+    for (uint32_t w = 0; w < reference.num_weights(); ++w) {
+      const double value = reference.weight_value(w);
+      reference.set_weight_value(w, value - lr * opts.l2 * value);
+    }
+    lr *= opts.decay;
+  }
+  for (uint32_t w = 0; w < initial.num_weights(); ++w) {
+    EXPECT_EQ(bulk.weight_value(w), reference.weight_value(w)) << "weight " << w;
+    EXPECT_NE(bulk.weight_value(w), initial.weight_value(w)) << "weight " << w;
+  }
+
+  // Four nodes, one epoch: every node sweeps under the initial weights,
+  // so the access counts are those of each node's own chains.
+  const int nodes = 4;
+  const size_t nv = initial.num_variables();
+  const size_t block = (nv + nodes - 1) / nodes;
+  auto owner = [&](uint32_t v) { return std::min<int>(v / block, nodes - 1); };
+  uint64_t total = 0, remote = 0;
+  for (int n = 0; n < nodes; ++n) {
+    CdChains node_chains(&initial, opts.seed + 2 * n, opts.seed + 2 * n + 1);
+    ASSERT_TRUE(node_chains.Init().ok());
+    node_chains.Sweep(opts.sweeps_per_epoch);
+    ForEachCdTerm(initial, node_chains, UINT32_MAX, [&](uint32_t f, uint32_t w, double term) {
+      ++total;
+      size_t nlit = 0;
+      if (owner(initial.factor_literals(f, &nlit)[0].var) != n) ++remote;
+      const bool weight_remote = static_cast<int>(w % nodes) != n;
+      remote += weight_remote ? (term != 0.0 ? 2 : 1) : 0;
+    });
+  }
+  FactorGraph shared = initial;
+  NumaTopology four;
+  four.num_nodes = nodes;
+  LearnOptions one_epoch = opts;
+  one_epoch.epochs = 1;
+  auto stats = NumaLearner(&shared, four).Learn(one_epoch, false);
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  EXPECT_EQ(stats->total_accesses, total);
+  EXPECT_EQ(stats->remote_accesses, remote);
+  EXPECT_GT(remote, 0u);
 }
 
 TEST(GibbsTest, DeterministicGivenSeed) {

@@ -108,6 +108,31 @@ TEST_P(CompiledKernelProperty, DeltaMatchesAfterWeightUpdates) {
   }
 }
 
+/// The same, with each round's weights installed in bulk: every changed
+/// value is written first and the folded biases are refolded once.
+TEST_P(CompiledKernelProperty, DeltaMatchesAfterBulkWeightUpdates) {
+  const uint64_t seed = GetParam();
+  FactorGraph g = AdversarialGraph(seed, 24, 160);
+  Rng rng(seed ^ 0xb0b);
+  const size_t nv = g.num_variables();
+  std::vector<uint8_t> assignment(nv);
+  std::vector<double> weights = g.weight_values();
+  for (int round = 0; round < 10; ++round) {
+    // Leave some weights unchanged so the install writes a subset.
+    for (double& w : weights) {
+      if (rng.NextBernoulli(0.7)) w = rng.NextBernoulli(0.1) ? 0.0 : rng.NextGaussian();
+    }
+    g.set_weight_values(weights);
+    ASSERT_EQ(g.weight_values(), weights);
+    for (size_t v = 0; v < nv; ++v) assignment[v] = rng.NextBernoulli(0.5) ? 1 : 0;
+    for (uint32_t v = 0; v < nv; ++v) {
+      ASSERT_EQ(Bits(g.PotentialDelta(v, assignment.data())),
+                Bits(g.PotentialDeltaCompiled(v, assignment.data())))
+          << "seed=" << seed << " v=" << v << " round=" << round;
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, CompiledKernelProperty,
                          ::testing::Values(1, 2, 3, 5, 8, 13, 21, 34, 55, 89));
 
@@ -123,26 +148,95 @@ TEST(CompiledKernels, SetWeightValueSyncsColdMirror) {
   EXPECT_EQ(g.weight_values()[w], -2.5);
 }
 
-TEST(CompiledKernels, FixedWeightBiasRecompiles) {
-  // v0's whole adjacency is fixed-weight unary factors, so its delta
-  // folds to a constant. Overwriting one of those weights must trigger a
-  // recompile, not leave a stale bias.
+/// Every assignment of a graph with `nv` variables agrees bit for bit.
+void ExpectAllDeltasMatch(const FactorGraph& g) {
+  const uint32_t nv = static_cast<uint32_t>(g.num_variables());
+  std::vector<uint8_t> a(nv);
+  for (uint32_t bits = 0; bits < (1u << nv); ++bits) {
+    for (uint32_t v = 0; v < nv; ++v) a[v] = (bits >> v) & 1u;
+    for (uint32_t v = 0; v < nv; ++v) {
+      ASSERT_EQ(Bits(g.PotentialDelta(v, a.data())),
+                Bits(g.PotentialDeltaCompiled(v, a.data())))
+          << "v=" << v << " assignment=" << bits;
+    }
+  }
+}
+
+TEST(CompiledKernels, UnaryOnlyVariableFoldsAndRefolds) {
+  // v0's whole adjacency is unary factors, fixed and learned, so its
+  // delta folds to a constant and its stream is empty. Overwriting any
+  // of those weights must refold the bias, not leave it stale.
   FactorGraph g;
   g.AddVariable();
   uint32_t w0 = g.AddWeight(0.75, true, "prior0");
   uint32_t w1 = g.AddWeight(-0.25, true, "prior1");
+  uint32_t w2 = g.AddWeight(0.5, false, "learned");
   ASSERT_TRUE(g.AddFactor(FactorFunc::kIsTrue, w0, {{0, true}}).ok());
   ASSERT_TRUE(g.AddFactor(FactorFunc::kIsTrue, w1, {{0, false}}).ok());
+  ASSERT_TRUE(g.AddFactor(FactorFunc::kIsTrue, w2, {{0, true}}).ok());
   ASSERT_TRUE(g.Finalize().ok());
   uint8_t assignment = 0;
-  // Folded: the stream for v0 should be empty, delta = 0.75 + 0.25.
   EXPECT_EQ(g.kernel_stream_words(), 0u);
   EXPECT_EQ(Bits(g.PotentialDeltaCompiled(0, &assignment)),
             Bits(g.PotentialDelta(0, &assignment)));
   g.set_weight_value(w0, 3.5);
   EXPECT_EQ(Bits(g.PotentialDeltaCompiled(0, &assignment)),
             Bits(g.PotentialDelta(0, &assignment)));
-  EXPECT_EQ(g.PotentialDeltaCompiled(0, &assignment), 3.5 + 0.25);
+  EXPECT_EQ(g.PotentialDeltaCompiled(0, &assignment), 3.5 + 0.25 + 0.5);
+  g.set_weight_values({3.5, -0.25, -1.5});
+  EXPECT_EQ(Bits(g.PotentialDeltaCompiled(0, &assignment)),
+            Bits(g.PotentialDelta(0, &assignment)));
+  EXPECT_EQ(g.PotentialDeltaCompiled(0, &assignment), 3.5 + 0.25 - 1.5);
+}
+
+TEST(CompiledKernels, LearnedUnaryPrefixFoldsIntoBias) {
+  // v0: two learned unary factors, then a guard (AND with v1). The
+  // unary prefix folds; only the guard stays in v0's stream.
+  FactorGraph g;
+  g.AddVariable();
+  g.AddVariable();
+  uint32_t w0 = g.AddWeight(0.1, false, "feat0");
+  uint32_t w1 = g.AddWeight(0.7, false, "feat1");
+  uint32_t w2 = g.AddWeight(-1.3, false, "pair");
+  ASSERT_TRUE(g.AddFactor(FactorFunc::kIsTrue, w0, {{0, true}}).ok());
+  ASSERT_TRUE(g.AddFactor(FactorFunc::kIsTrue, w1, {{0, false}}).ok());
+  ASSERT_TRUE(g.AddFactor(FactorFunc::kAnd, w2, {{0, true}, {1, true}}).ok());
+  ASSERT_TRUE(g.Finalize().ok());
+  // Unfolded: v0 = 2 unary ops (2 words each) + 1 guard (3 words), v1 =
+  // 1 guard. Folded: just the two guards.
+  EXPECT_EQ(g.kernel_stream_words(), 6u);
+  EXPECT_EQ(g.kernel_offsets()[1] - g.kernel_offsets()[0], 3u);
+  EXPECT_EQ(Bits(g.var_bias()[0]), Bits(0.0 + 0.1 - 0.7));
+  EXPECT_EQ(Bits(g.var_bias()[1]), Bits(0.0));
+  ExpectAllDeltasMatch(g);
+
+  // Learning installs new values: the bias follows, bit for bit.
+  g.set_weight_values({-2.25, 0.3125, 0.5});
+  EXPECT_EQ(Bits(g.var_bias()[0]), Bits(0.0 - 2.25 - 0.3125));
+  ExpectAllDeltasMatch(g);
+  g.set_weight_value(w1, 4.0);
+  EXPECT_EQ(Bits(g.var_bias()[0]), Bits(0.0 - 2.25 - 4.0));
+  ExpectAllDeltasMatch(g);
+}
+
+TEST(CompiledKernels, UnaryAfterGuardStaysInStream) {
+  // v0: a guard first, then a unary factor. Folding the unary would add
+  // it before the guard's term and reassociate the sum, so it stays.
+  FactorGraph g;
+  g.AddVariable();
+  g.AddVariable();
+  uint32_t w0 = g.AddWeight(0.1, false, "feat0");
+  uint32_t w2 = g.AddWeight(-1.3, false, "pair");
+  ASSERT_TRUE(g.AddFactor(FactorFunc::kAnd, w2, {{0, true}, {1, true}}).ok());
+  ASSERT_TRUE(g.AddFactor(FactorFunc::kIsTrue, w0, {{0, true}}).ok());
+  ASSERT_TRUE(g.Finalize().ok());
+  // v0 = guard (3 words) + unary (2 words); v1 = guard (3 words).
+  EXPECT_EQ(g.kernel_stream_words(), 8u);
+  EXPECT_EQ(g.kernel_offsets()[1] - g.kernel_offsets()[0], 5u);
+  EXPECT_EQ(Bits(g.var_bias()[0]), Bits(0.0));
+  ExpectAllDeltasMatch(g);
+  g.set_weight_values({0.2, 3.0});
+  ExpectAllDeltasMatch(g);
 }
 
 // --- End-to-end: the sampler's chain equals an interpreted reference ---
