@@ -7,9 +7,11 @@ Modes, auto-detected from the JSON shape:
 
 * Kernel mode (``compiled_ns_per_delta`` present, from ``bench_kernels``):
   the fresh ns/delta must not regress more than the tolerance over the
-  committed BENCH_kernels.json, and the interpreted and compiled kernels
-  must still agree bit-for-bit (``deltas_agree``) — a fast wrong kernel
-  must not pass.
+  committed BENCH_kernels.json, on the random graph and (when both JSONs
+  carry it) on the spouse-shaped graph, and the interpreted and compiled
+  kernels must still agree bit-for-bit (``deltas_agree``) — a fast wrong
+  kernel must not pass. The baseline records the slowest of its runs
+  (all are listed in the file), as the incremental mode's does.
 
 * Grounding mode (``speedup_Nt`` keys present, from
   ``bench_parallel_grounding``): the parallel grounder must still produce
@@ -503,28 +505,35 @@ def main(argv) -> int:
     if fresh.get("deltas_agree") is not True:
         return fail("fresh run: interpreted and compiled kernels disagree")
 
-    base_ns = float(baseline["compiled_ns_per_delta"])
-    fresh_ns = float(fresh["compiled_ns_per_delta"])
-    if base_ns <= 0:
-        return fail(f"baseline compiled_ns_per_delta is non-positive: {base_ns}")
+    # The random graph always gates; the spouse-shaped graph gates once
+    # both JSONs carry it.
+    for key, label, tag in (
+            ("compiled_ns_per_delta", "compiled kernel", "kernel-ns-per-delta"),
+            ("spouse_compiled_ns_per_delta", "spouse-shaped kernel",
+             "spouse-kernel-ns-per-delta")):
+        if key not in baseline or key not in fresh:
+            continue
+        base_ns = float(baseline[key])
+        fresh_ns = float(fresh[key])
+        if base_ns <= 0:
+            return fail(f"baseline {key} is non-positive: {base_ns}")
 
-    limit_ns = base_ns * (1.0 + tolerance)
-    ratio = fresh_ns / base_ns
-    verdict = "OK" if fresh_ns <= limit_ns else "REGRESSION"
-    print(
-        f"bench-gate: compiled kernel {fresh_ns:.2f} ns/delta vs baseline "
-        f"{base_ns:.2f} ns/delta ({ratio:.2f}x, limit {limit_ns:.2f} at "
-        f"+{tolerance * 100:.0f}%) -> {verdict}"
-    )
-    summary("kernel-ns-per-delta", "hard")
-    if fresh_ns > limit_ns:
-        return fail(
-            f"compiled kernel regressed {ratio:.2f}x over baseline "
-            f"(override with DD_BENCH_GATE_SKIP=1 or refresh BENCH_kernels.json "
-            f"if the change is intentional)"
+        limit_ns = base_ns * (1.0 + tolerance)
+        ratio = fresh_ns / base_ns
+        verdict = "OK" if fresh_ns <= limit_ns else "REGRESSION"
+        print(
+            f"bench-gate: {label} {fresh_ns:.2f} ns/delta vs baseline "
+            f"{base_ns:.2f} ns/delta ({ratio:.2f}x, limit {limit_ns:.2f} at "
+            f"+{tolerance * 100:.0f}%) -> {verdict}"
         )
+        summary(tag, "hard")
+        if fresh_ns > limit_ns:
+            return fail(
+                f"{label} regressed {ratio:.2f}x over baseline "
+                f"(override with DD_BENCH_GATE_SKIP=1 or refresh BENCH_kernels.json "
+                f"if the change is intentional)"
+            )
     return 0
-
 
 if __name__ == "__main__":
     sys.exit(main(sys.argv))
